@@ -99,6 +99,16 @@ class UsageError(Exception):
     pass
 
 
+def _load(path: str, parse):
+    """Read a JSON input file and parse it; a malformed file is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            ZeroDivisionError) as exc:
+        raise UsageError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
+
+
 def cmd_series(args) -> int:
     _check_order(args.order)
     try:
@@ -119,9 +129,7 @@ def cmd_series(args) -> int:
 
 def cmd_analyze(args) -> int:
     _check_order(args.order)
-    with open(args.rep_path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    rep = load_rep(record)
+    rep = _load(args.rep_path, load_rep)
     profile = weight_profile(rep)
     mult = multiplicities(rep)
     data = traces(rep)
@@ -203,12 +211,8 @@ def cmd_verify(args) -> int:
 
 def cmd_det(args) -> int:
     _check_order(args.order)
-    with open(args.gens_path, encoding="utf-8") as fh:
-        gens_record = json.load(fh)
-    with open(args.rep_path, encoding="utf-8") as fh:
-        rep_record = json.load(fh)
-    rep = load_rep(rep_record)
-    _, vectors = generators_from_record(gens_record)
+    rep = _load(args.rep_path, load_rep)
+    _, vectors = _load(args.gens_path, generators_from_record)
     if len(vectors) != rep.dimension:
         raise UsageError(
             f"generators file has {len(vectors)} vectors but the "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PrecisionError
+from .errors import ConsistencyError, PrecisionError
 from .exactfield import CycNumber
 from .qseries import QSeries
 from .replib import RepSpec, multiplicities, twist
@@ -132,7 +132,8 @@ def det_zero(rep: RepSpec, order: int) -> QSeries:
         out = out * (eisenstein(4, b) / delta ** 4) ** b12
     if mult.alpha:
         out = out * (eisenstein(6, b) / delta ** 6) ** mult.alpha
-    assert out.valid_exponent() >= order
+    if out.valid_exponent() < order:
+        raise ConsistencyError(f"det_zero window ends at q^{out.valid_exponent()} < q^{order}")
     return out
 
 
@@ -150,7 +151,8 @@ def det_n(rep: RepSpec, n: int, order: int) -> QSeries:
     pad = 2 + abs(shift) // 12
     base = det_zero(twist(rep, -n), order + pad)
     out = base * eta_squared(order + pad) ** shift if shift else base
-    assert out.valid_exponent() >= order
+    if out.valid_exponent() < order:
+        raise ConsistencyError(f"det_n window ends at q^{out.valid_exponent()} < q^{order}")
     return out
 
 

@@ -43,27 +43,24 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_trim(p: list[int]) -> list[int]:
+def _poly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials with monic-up-to-sign divisor."""
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials (constant term first) over Q or
+    Q(zeta); den[-1] must be nonzero."""
     num = list(num)
-    out = [0] * max(1, len(num) - len(den) + 1)
-    lead = den[-1]
+    inv = _ONE / den[-1]
+    quot = [_ZERO] * max(1, len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact integer polynomial division")
-        q = c // lead
-        out[i] = q
-        if q:
+        c = quot[i] = num[i + len(den) - 1] * inv
+        if c != 0:
             for j, d in enumerate(den):
-                num[i + j] -= q * d
-    return _poly_trim(out), _poly_trim(num)
+                num[i + j] = num[i + j] - c * d
+    return _poly_trim(quot), _poly_trim(num[:len(den) - 1])
 
 
 @lru_cache(maxsize=None)
@@ -83,11 +80,10 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            quot, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise ArithmeticError("cyclotomic division left a remainder")
-            poly = quot
-    return tuple(poly)
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if rem or any(c.denominator != 1 for c in poly):
+                raise ArithmeticError("cyclotomic division was not exact")
+    return tuple(int(c) for c in poly)
 
 
 @lru_cache(maxsize=None)
@@ -143,29 +139,11 @@ def _poly_ext_inverse(coeffs: tuple[Fraction, ...], modulus: tuple[int, ...]) ->
     Extended Euclid over Q[x]; returns coefficients of length phi.
     """
     phi = len(modulus) - 1
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def divmod_q(n, d):
-        n = list(n)
-        q = [_ZERO] * max(1, len(n) - len(d) + 1)
-        inv = Fraction(1) / d[-1]
-        for i in range(len(n) - len(d), -1, -1):
-            c = n[i + len(d) - 1] * inv
-            q[i] = c
-            if c:
-                for j, dj in enumerate(d):
-                    n[i + j] -= c * dj
-        return trim(q), trim(n)
-
     r0 = [Fraction(c) for c in modulus]
-    r1 = trim([Fraction(c) for c in coeffs])
+    r1 = _poly_trim([Fraction(c) for c in coeffs])
     s0, s1 = [], [_ONE]
     while len(r1) > 1:
-        q, r = divmod_q(r0, r1)
+        q, r = _poly_divmod(r0, r1)
         # s_next = s0 - q * s1
         s_next = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
         for i, qi in enumerate(q):
@@ -173,8 +151,8 @@ def _poly_ext_inverse(coeffs: tuple[Fraction, ...], modulus: tuple[int, ...]) ->
                 for j, sj in enumerate(s1):
                     if sj:
                         s_next[i + j] -= qi * sj
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, trim(s_next)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_trim(s_next)
     if not r1:
         raise ZeroDivisionError("element is zero modulo the cyclotomic polynomial")
     scale = Fraction(1) / r1[0]
@@ -277,11 +255,11 @@ class CycNumber:
             return self
         if self.order % order != 0:
             raise ValueError(f"order {order} does not divide {self.order}")
-        basis = _lift_basis(self.order, order)
-        sol = _solve_exact(basis, list(self.coeffs))
+        basis = [[CycNumber(1, (x,)) for x in col] for col in _lift_basis(self.order, order)]
+        sol = _solve_exact(basis, [[CycNumber(1, (x,)) for x in self.coeffs]])
         if sol is None:
             raise ValueError(f"{self} does not lie in Q(zeta_{order})")
-        return CycNumber(order, tuple(sol))
+        return CycNumber(order, tuple(x.coeffs[0] for x in sol[0]))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -443,36 +421,36 @@ def _lift_basis(big: int, small: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(cols)
 
 
-def _solve_exact(columns, target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent."""
-    rows = len(target)
-    ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
+    """Solve sum_j x_j * columns[j] = t over the field for every t in targets.
+
+    Gauss-Jordan elimination; free unknowns are set to zero.  Returns one
+    solution per target, or None when some target is out of reach.
+    """
+    rows, ncols = len(targets[0]), len(columns)
+    aug = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(rows)]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
+        inv = aug[r][c].inverse()
         aug[r] = [v * inv for v in aug[r]]
         for i in range(rows):
-            if i != r and aug[i][c]:
+            if i != r and not aug[i][c].is_zero():
                 f = aug[i][c]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == rows:
             break
     # Inconsistent when a zeroed row keeps a nonzero target entry.
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [_ZERO] * ncols
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][ncols]
-    return sol
+    if any(not v.is_zero() for row in aug[len(pivots):] for v in row[ncols:]):
+        return None
+    rows_of = dict(zip(pivots, aug))
+    return [[rows_of[c][ncols + t] if c in rows_of else CycNumber.zero() for c in range(ncols)]
+            for t in range(len(targets))]
 
 
 def parse_rational(text) -> Fraction:

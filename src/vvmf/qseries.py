@@ -5,6 +5,16 @@ coefficient of q^((lead+i)/grid) and the expansion is trusted for all
 exponents strictly below valid_to/grid.  Every operation tracks validity
 conservatively, so truncation can never turn into a silently wrong claim.
 
+Products run on one integer kernel: both operands go to one cyclotomic
+order N, a common denominator and phi(N) integer coordinates per
+coefficient; q and zeta are packed into one big int (Kronecker substitution,
+2*phi-1 byte-wide slots per q step, at stride g when the nonzero offsets
+share a gcd g > 1) and multiplied once.  Product coefficient k keeps the
+order lcm(ord a_i, ord b_j) over its nonzero pairs i + j = k.  Quotients
+halve recursively on that product and finish short blocks with a Newton
+inverse of the divisor, never forming all of 1/b, whose coefficients can
+dwarf those of a/b.
+
 All values are immutable and operations are pure.
 """
 
@@ -15,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .exactfield import CycNumber, _coerce
-
-_ZERO = Fraction(0)
+from .exactfield import CycNumber, _check_order, _coerce, _reduction_rows, euler_phi
 
 
 def _as_cyc(value) -> CycNumber:
@@ -222,21 +230,28 @@ class QSeries:
         n_out = valid - lead
         if n_out <= 0 or a.is_zero() or b.is_zero():
             return QSeries.zero(valid, a.grid)
-        out = _convolve(list(a.coeffs), list(b.coeffs), n_out)
+        out = _product(list(a.coeffs), list(b.coeffs), n_out)
         return QSeries._make(a.grid, lead, valid, out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QSeries:
-        """Multiplicative inverse of a series with a nonzero lead."""
+        """Multiplicative inverse of a series with a nonzero lead; 1 / self."""
         if self.is_zero():
             raise ZeroDivisionError("division by (truncated) zero series")
-        one = [CycNumber.one()]
-        out = _quotient(one, list(self.coeffs), len(self.coeffs))
-        return QSeries._make(self.grid, -self.lead,
-                             self.valid_to - 2 * self.lead, out)
+        return QSeries._make(self.grid, -self.lead, self.valid_to - 2 * self.lead,
+                             _divide([CycNumber.one()], list(self.coeffs), len(self.coeffs)))
 
     def __truediv__(self, other):
+        """Exact quotient, trusted as far as both operands allow.
+
+        The quotient is computed directly (see ``_halves``), not as
+        ``self * other.inverse()``: the inverse can have far larger
+        coefficients than the quotient.  Being exact, the result is
+        byte-identical to a coefficientwise recursion for integer, rational
+        and single-order cyclotomic series; with coefficients of several
+        orders it is equal (==) but may sit at a larger order.
+        """
         if isinstance(other, (int, Fraction, CycNumber)):
             return self * _as_cyc(other).inverse()
         if not isinstance(other, QSeries):
@@ -249,7 +264,7 @@ class QSeries:
                                     b.valid_to + a.lead - 2 * b.lead), a.grid)
         lead = a.lead - b.lead
         n_out = min(a.valid_to - a.lead, b.valid_to - b.lead)
-        out = _quotient(list(a.coeffs), list(b.coeffs), n_out)
+        out = _divide(list(a.coeffs), list(b.coeffs), n_out)
         return QSeries._make(a.grid, lead, lead + n_out, out)
 
     def __pow__(self, k: int) -> QSeries:
@@ -357,90 +372,154 @@ class QSeries:
                              int(record["valid_to"]), coeffs)
 
 
-def _raw_rationals(coeffs: list[CycNumber]) -> list[Fraction] | None:
-    out = []
-    for c in coeffs:
-        if c.order != 1:
-            return None
-        out.append(c.coeffs[0])
+# Longest quotient block that _halves takes as one product with a Newton inverse.
+_LEAF = 32
+
+
+def _product(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
+    """First n_out coefficients of a*b (dense lists), each at its pair order."""
+    step, a, b, order = _strided(a, b, n_out)
+    size = (n_out - 1) // step + 1
+    (xs, den_a), (ys, den_b) = _integer_coords(a, order), _integer_coords(b, order)
+    out = _box(_mul(xs, ys, size, order), order, [den_a * den_b] * size, step, n_out)
+    if len({c.order for c in a + b} - {1}) > 1:
+        out[::step] = [v.reduce_order_to(t) if v.order not in (1, t) else v
+                       for v, t in zip(out[::step], _pair_orders(a, b, size))]
     return out
 
 
-def _convolve(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
-    """First n_out coefficients of the product of two dense coefficient lists."""
-    ra = _raw_rationals(a)
-    rb = _raw_rationals(b)
-    if ra is not None and rb is not None:
-        if all(f.denominator == 1 for f in ra) and all(f.denominator == 1 for f in rb):
-            ia = [f.numerator for f in ra]
-            ib = [f.numerator for f in rb]
-            out = [0] * n_out
-            for i, ai in enumerate(ia):
-                if ai and i < n_out:
-                    stop = min(len(ib), n_out - i)
-                    for j in range(stop):
-                        bj = ib[j]
-                        if bj:
-                            out[i + j] += ai * bj
-            return [CycNumber(1, (Fraction(v),)) for v in out]
-        outf = [_ZERO] * n_out
-        for i, ai in enumerate(ra):
-            if ai and i < n_out:
-                stop = min(len(rb), n_out - i)
-                for j in range(stop):
-                    bj = rb[j]
-                    if bj:
-                        outf[i + j] += ai * bj
-        return [CycNumber(1, (v,)) for v in outf]
-    out = [CycNumber.zero()] * n_out
-    for i, ai in enumerate(a):
-        if not ai.is_zero() and i < n_out:
-            stop = min(len(b), n_out - i)
-            for j in range(stop):
-                bj = b[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _quotient(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
+def _divide(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
     """First n_out coefficients of a/b for dense lists with b[0] != 0."""
-    ra = _raw_rationals(a)
-    rb = _raw_rationals(b)
-    if ra is not None and rb is not None:
-        ints_ok = all(f.denominator == 1 for f in ra) and all(f.denominator == 1 for f in rb)
-        if ints_ok and rb[0].numerator in (1, -1):
-            ia = [f.numerator for f in ra]
-            ib = [f.numerator for f in rb]
-            b0 = ib[0]
-            out = [0] * n_out
-            for k in range(n_out):
-                acc = ia[k] if k < len(ia) else 0
-                for i in range(1, min(k, len(ib) - 1) + 1):
-                    if ib[i]:
-                        qv = out[k - i]
-                        if qv:
-                            acc -= qv * ib[i]
-                out[k] = acc * b0
-            return [CycNumber(1, (Fraction(v),)) for v in out]
-        inv0 = Fraction(1) / rb[0]
-        outf = [_ZERO] * n_out
-        for k in range(n_out):
-            acc = ra[k] if k < len(ra) else _ZERO
-            for i in range(1, min(k, len(rb) - 1) + 1):
-                if rb[i]:
-                    qv = outf[k - i]
-                    if qv:
-                        acc -= qv * rb[i]
-            outf[k] = acc * inv0
-        return [CycNumber(1, (v,)) for v in outf]
-    inv0 = b[0].inverse()
+    step, a, b, order = _strided(a, b, n_out)
+    size = (n_out - 1) // step + 1
+    phi = euler_phi(order)
+    (xs, den_a), (ys, den_b) = _integer_coords(a, order), _integer_coords(b, order)
+    xs += [0] * (size * phi - len(xs))
+    # Scale by unit/du = 1/b_0 so that the divisor starts with the integer du,
+    # then substitute q -> du*q so that it starts with 1 and stays integral.
+    lead = CycNumber(order, tuple(Fraction(v) for v in ys[:phi])).inverse()
+    unit, du = _integer_coords([lead], order)
+    if unit != [1] + [0] * (phi - 1):
+        xs, ys = _mul(xs, unit, size, order), _mul(ys, unit, size, order)
+    xs = [v * du ** (i // phi) for i, v in enumerate(xs)]
+    ys = [v * du ** (i // phi - 1) if i >= phi else int(i == 0) for i, v in enumerate(ys)]
+    quotient = _halves(xs, ys, _inverse(ys, min(size, _LEAF), order), size, order)
+    dens = [den_a * du ** (k + 1) for k in range(size)]
+    return _box([v * den_b for v in quotient], order, dens, step, n_out)
+
+
+def _halves(xs: list[int], ys: list[int], inv: list[int], n: int, order: int) -> list[int]:
+    """First n coefficients of xs/ys (ys monic) by divide and conquer: the low
+    half, then the high half from the remainder xs - ys*low; a block no
+    longer than ``inv`` (1/ys to that many terms) is one product with it.
+    Not xs * (1/ys) at once: 1/ys can have far larger coefficients than the
+    quotient (1/E4 grows like 231^k), and every slot is as wide as the largest."""
+    phi = euler_phi(order)
+    if n * phi <= len(inv):
+        return _mul(xs, inv, n, order)
+    h = (n + 1) // 2
+    low = _halves(xs, ys, inv, h, order)
+    prod = _mul(ys, low, n, order)
+    rest = [u - v for u, v in zip(xs[h * phi:n * phi], prod[h * phi:])]
+    return low + _halves(rest, ys, inv, n - h, order)
+
+
+def _inverse(ys: list[int], n: int, order: int) -> list[int]:
+    """First n coefficients of 1/ys (ys monic) by Newton iteration,
+    x <- x + x*(1 - ys*x), which doubles the number of correct coefficients."""
+    phi = euler_phi(order)
+    x = [1] + [0] * (phi - 1)
+    while len(x) < n * phi:
+        k, m = len(x) // phi, min(2 * len(x) // phi, n)
+        residual = [-v for v in _mul(ys, x, m, order)[k * phi:]]
+        x += _mul(x, residual, m - k, order)
+    return x
+
+
+def _strided(a: list[CycNumber], b: list[CycNumber], n_out: int):
+    """The gcd g of the nonzero offsets, both lists at stride g, their common order."""
+    a, b = a[:n_out], b[:n_out]
+    step = math.gcd(*(i for s in (a, b) for i, c in enumerate(s) if not c.is_zero())) or n_out
+    a, b = a[::step], b[::step]
+    order = math.lcm(*(c.order for c in a + b if not c.is_zero()))
+    _check_order(order)
+    return step, a, b, order
+
+
+def _integer_coords(coeffs: list[CycNumber], order: int) -> tuple[list[int], int]:
+    """Order-``order`` coordinates, phi per coefficient, times a common denominator."""
+    coords = [c.coeffs if c.order == order else c.lift(order).coeffs for c in coeffs]
+    den = math.lcm(*(x.denominator for co in coords for x in co))
+    return [x.numerator * (den // x.denominator) for co in coords for x in co], den
+
+
+def _box(flat: list[int], order: int, dens: list[int], step: int, n_out: int) -> list[CycNumber]:
+    """n_out CycNumbers, coefficient k of the flat coordinates over dens[k] at k*step."""
+    phi = euler_phi(order)
     out = [CycNumber.zero()] * n_out
-    for k in range(n_out):
-        acc = a[k] if k < len(a) else CycNumber.zero()
-        for i in range(1, min(k, len(b) - 1) + 1):
-            qv = out[k - i]
-            if not qv.is_zero() and not b[i].is_zero():
-                acc = acc - qv * b[i]
-        out[k] = acc * inv0
+    for k, den in enumerate(dens):
+        coords = flat[k * phi:(k + 1) * phi]
+        if any(coords):
+            fracs = tuple(Fraction(x, den) if den != 1 else Fraction(x) for x in coords)
+            out[k * step] = CycNumber(order, fracs).demoted()
     return out
+
+
+def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
+    """First n coefficients of the product of two flat coordinate lists, with
+    2*phi-1 slots per coefficient; zeta^k for k >= phi is reduced afterwards."""
+    phi = euler_phi(order)
+    if phi == 1:
+        return _kronecker(xs[:n], ys[:n], n)
+    span = 2 * phi - 1
+    pad = [0] * (phi - 1)
+    xs, ys = ([v for i in range(0, min(len(zs), n * phi), phi) for v in zs[i:i + phi] + pad]
+              for zs in (xs, ys))
+    flat = _kronecker(xs, ys, n * span)
+    rows = _reduction_rows(order)[phi:span]
+    out = []
+    for base in range(0, n * span, span):
+        coords = flat[base:base + phi]
+        for c, row in zip(flat[base + phi:base + span], rows):
+            if c:
+                coords = [x + c * r for x, r in zip(coords, row)]
+        out += coords
+    return out
+
+
+def _pair_orders(a: list[CycNumber], b: list[CycNumber], size: int) -> list[int]:
+    """lcm(ord a_i, ord b_j) over the nonzero pairs with i + j = k, k < size,
+    from 0/1 products of the supports, one per pair of orders."""
+    out = [1] * size
+    for m in {c.order for c in a if not c.is_zero()}:
+        for n in {c.order for c in b if not c.is_zero()}:
+            hits = _kronecker([int(c.order == m and not c.is_zero()) for c in a],
+                              [int(c.order == n and not c.is_zero()) for c in b], size)
+            out = [math.lcm(o, m, n) if hit else o for o, hit in zip(out, hits)]
+    return out
+
+
+def _kronecker(xs: list[int], ys: list[int], size: int) -> list[int]:
+    """First ``size`` coefficients of the product of two integer polynomials
+    by one big-int multiply: whole-byte slots hold the bound min(len) * max|x|
+    * max|y| and carry a bias of half their range, so they never borrow."""
+    bound = min(len(xs), len(ys)) * max(map(abs, xs), default=0) * max(map(abs, ys), default=0)
+    if not bound:
+        return [0] * size
+    width = (bound.bit_length() + 8) // 8
+    half, mask = 1 << (8 * width - 1), (1 << (8 * width * size)) - 1
+    packed = (_pack(xs, width) * _pack(ys, width) + _bias(size, width)) & mask
+    data = packed.to_bytes(size * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, size * width, width)]
+
+
+def _pack(values: list[int], width: int) -> int:
+    half = 1 << (8 * width - 1)
+    data = b"".join((v + half).to_bytes(width, "little") for v in values)
+    return int.from_bytes(data, "little") - _bias(len(values), width)
+
+
+def _bias(count: int, width: int) -> int:
+    """Half a slot, in each of ``count`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RepValidationError
-from .exactfield import CycNumber, _check_order, _coerce, root_of_unity
+from .exactfield import (CycNumber, _check_order, _coerce, _poly_divmod, _poly_trim,
+                         _solve_exact, root_of_unity)
 
 Matrix = tuple[tuple[CycNumber, ...], ...]
 
@@ -79,21 +80,12 @@ def _mat_trace(a: Matrix) -> CycNumber:
 
 
 def _mat_inv(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse over the cyclotomic field."""
+    """Inverse over the cyclotomic field: solve a * X = I column by column."""
     d = len(a)
-    work = [list(row) + list(idr) for row, idr in zip(a, _identity(d))]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise RepValidationError("matrix is singular; generator images must be invertible")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [v * inv for v in work[col]]
-        for r in range(d):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[d:]) for row in work)
+    cols = _solve_exact([[row[j] for row in a] for j in range(d)], list(_identity(d)))
+    if cols is None:
+        raise RepValidationError("matrix is singular; generator images must be invertible")
+    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -334,59 +326,17 @@ def _min_poly(m: Matrix) -> list[CycNumber]:
         powers.append(_mat_mul(powers[-1], m))
     vecs = [[p[i][j] for i in range(d) for j in range(d)] for p in powers]
     for deg in range(1, d + 1):
-        sol = _solve_dependence(vecs[:deg], vecs[deg])
+        sol = _solve_exact(vecs[:deg], [vecs[deg]])
         if sol is not None:
-            return [-c for c in sol] + [CycNumber.one()]
+            return [-c for c in sol[0]] + [CycNumber.one()]
     raise AssertionError("Cayley-Hamilton guarantees a dependence by degree d")
-
-
-def _solve_dependence(columns, target) -> list[CycNumber] | None:
-    """Solve sum_j x_j columns[j] = target over the field; None if impossible."""
-    rows = len(target)
-    ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if not aug[i][ncols].is_zero():
-            return None
-    sol = [CycNumber.zero()] * ncols
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][ncols]
-    return sol
 
 
 def _poly_gcd(a: list[CycNumber], b: list[CycNumber]) -> list[CycNumber]:
     """Monic gcd over the cyclotomic field (coefficients constant-first)."""
-
-    def trim(p):
-        while p and p[-1].is_zero():
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        inv = b[-1].inverse()
-        r = list(a)
-        for i in range(len(r) - len(b), -1, -1):
-            c = r[i + len(b) - 1] * inv
-            if not c.is_zero():
-                for j, bj in enumerate(b):
-                    r[i + j] = r[i + j] - c * bj
-        a, b = b, trim(r[:len(b) - 1])
+        a, b = b, _poly_divmod(a, b)[1]
     if a:
         inv = a[-1].inverse()
         a = [c * inv for c in a]

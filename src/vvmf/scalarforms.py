@@ -132,7 +132,8 @@ def hauptmodul(order: int) -> QSeries:
         raise ValueError("order must be at least 1")
     pad = order + 2
     j = eisenstein(4, pad) ** 3 / discriminant(pad) - 744
-    assert j.valid_exponent() >= order
+    if j.valid_exponent() < order:
+        raise ConsistencyError(f"hauptmodul window ends at q^{j.valid_exponent()} < q^{order}")
     return j
 
 
@@ -149,7 +150,8 @@ def gen_form(n: int, order: int) -> QSeries:
     out = eisenstein(4, pad) ** r.r3 * eisenstein(6, pad) ** r.r2
     if r.r_inf:
         out = out * discriminant(pad) ** r.r_inf
-    assert out.valid_exponent() >= order
+    if out.valid_exponent() < order:
+        raise ConsistencyError(f"gen_form window ends at q^{out.valid_exponent()} < q^{order}")
     return out
 
 

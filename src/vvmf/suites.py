@@ -71,7 +71,7 @@ def run_suite(name: str, order: int = 128, seed: int = 0) -> SuiteResult:
 
 
 def _case(case_id: str, ok: bool, detail: str = "") -> CaseResult:
-    return CaseResult(case_id, bool(ok), detail if not ok else detail)
+    return CaseResult(case_id, bool(ok), detail)
 
 
 def _scalar_suite(order: int, seed: int) -> list[CaseResult]:

@@ -1,9 +1,15 @@
 """Command-line behavior: exit codes, formats, determinism, golden report."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vvmf
 from vvmf.cli import main
 from vvmf.detlab import FormVector, generators_to_record
 from vvmf.qseries import QSeries
@@ -196,3 +202,56 @@ def test_det_misdeclared_weights_fail(tmp_path, sum_rep_file, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["analyze", "/nonexistent/rep.json"]) == 2
+
+
+@pytest.fixture
+def malformed_dir(tmp_path):
+    rep = linear_character(2).to_record()
+    zero = json.loads(json.dumps(rep))
+    zero["S"][0][0]["coeffs"] = ["1/0"]
+    no_t = {k: v for k, v in rep.items() if k != "T"}
+    files = {"syntax": "{bad", "zero-denominator": json.dumps(zero),
+             "missing-T": json.dumps(no_t), "no-generators": "{}"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    (tmp_path / "directory.json").mkdir()
+    return tmp_path
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("analyze", "syntax"), ("analyze", "zero-denominator"),
+    ("analyze", "missing-T"), ("analyze", "directory"),
+    ("det-rep", "zero-denominator"), ("det-gens", "syntax"),
+    ("det-gens", "no-generators"), ("det-gens", "directory"),
+])
+def test_malformed_input_is_usage_error(command, bad, malformed_dir, gens_file,
+                                        sum_rep_file, capsys):
+    path = str(malformed_dir / f"{bad}.json")
+    argv = {"analyze": ["analyze", path],
+            "det-rep": ["det", gens_file, path],
+            "det-gens": ["det", path, sum_rep_file]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
+    assert "Traceback" not in err
+
+
+def test_no_assert_statements_in_package():
+    """Checks must survive python -O, which strips assert statements."""
+    found = []
+    for path in sorted(Path(vvmf.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_optimized_run_prints_the_same_report():
+    env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parent.parent))
+    argv = ["-m", "vvmf.cli", "verify", "scalar", "--order", "8"]
+    plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                           text=True, timeout=300)
+    optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
+                               capture_output=True, text=True, timeout=300)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout

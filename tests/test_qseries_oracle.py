@@ -1,0 +1,279 @@
+"""The series product and quotient against the schoolbook loops they replaced.
+
+``_convolve`` and ``_quotient`` below are the int, Fraction and CycNumber
+coefficient loops that ``QSeries`` multiplied and divided with before the
+Kronecker product and the Newton inverse.  They are kept here unchanged as
+the reference: every seeded case must give the same ``to_record()``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from vvmf.exactfield import CycNumber, euler_phi
+from vvmf.qseries import QSeries
+
+_ZERO = Fraction(0)
+
+
+def _raw_rationals(coeffs: list[CycNumber]) -> list[Fraction] | None:
+    out = []
+    for c in coeffs:
+        if c.order != 1:
+            return None
+        out.append(c.coeffs[0])
+    return out
+
+
+def _convolve(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
+    """First n_out coefficients of the product of two dense coefficient lists."""
+    ra = _raw_rationals(a)
+    rb = _raw_rationals(b)
+    if ra is not None and rb is not None:
+        if all(f.denominator == 1 for f in ra) and all(f.denominator == 1 for f in rb):
+            ia = [f.numerator for f in ra]
+            ib = [f.numerator for f in rb]
+            out = [0] * n_out
+            for i, ai in enumerate(ia):
+                if ai and i < n_out:
+                    stop = min(len(ib), n_out - i)
+                    for j in range(stop):
+                        bj = ib[j]
+                        if bj:
+                            out[i + j] += ai * bj
+            return [CycNumber(1, (Fraction(v),)) for v in out]
+        outf = [_ZERO] * n_out
+        for i, ai in enumerate(ra):
+            if ai and i < n_out:
+                stop = min(len(rb), n_out - i)
+                for j in range(stop):
+                    bj = rb[j]
+                    if bj:
+                        outf[i + j] += ai * bj
+        return [CycNumber(1, (v,)) for v in outf]
+    out = [CycNumber.zero()] * n_out
+    for i, ai in enumerate(a):
+        if not ai.is_zero() and i < n_out:
+            stop = min(len(b), n_out - i)
+            for j in range(stop):
+                bj = b[j]
+                if not bj.is_zero():
+                    out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _quotient(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
+    """First n_out coefficients of a/b for dense lists with b[0] != 0."""
+    ra = _raw_rationals(a)
+    rb = _raw_rationals(b)
+    if ra is not None and rb is not None:
+        ints_ok = all(f.denominator == 1 for f in ra) and all(f.denominator == 1 for f in rb)
+        if ints_ok and rb[0].numerator in (1, -1):
+            ia = [f.numerator for f in ra]
+            ib = [f.numerator for f in rb]
+            b0 = ib[0]
+            out = [0] * n_out
+            for k in range(n_out):
+                acc = ia[k] if k < len(ia) else 0
+                for i in range(1, min(k, len(ib) - 1) + 1):
+                    if ib[i]:
+                        qv = out[k - i]
+                        if qv:
+                            acc -= qv * ib[i]
+                out[k] = acc * b0
+            return [CycNumber(1, (Fraction(v),)) for v in out]
+        inv0 = Fraction(1) / rb[0]
+        outf = [_ZERO] * n_out
+        for k in range(n_out):
+            acc = ra[k] if k < len(ra) else _ZERO
+            for i in range(1, min(k, len(rb) - 1) + 1):
+                if rb[i]:
+                    qv = outf[k - i]
+                    if qv:
+                        acc -= qv * rb[i]
+            outf[k] = acc * inv0
+        return [CycNumber(1, (v,)) for v in outf]
+    inv0 = b[0].inverse()
+    out = [CycNumber.zero()] * n_out
+    for k in range(n_out):
+        acc = a[k] if k < len(a) else CycNumber.zero()
+        for i in range(1, min(k, len(b) - 1) + 1):
+            qv = out[k - i]
+            if not qv.is_zero() and not b[i].is_zero():
+                acc = acc - qv * b[i]
+        out[k] = acc * inv0
+    return out
+
+
+def oracle_mul(x: QSeries, y: QSeries) -> QSeries:
+    a, b = x._common(y)
+    valid = min(a.valid_to + b.lead, b.valid_to + a.lead)
+    lead = a.lead + b.lead
+    n_out = valid - lead
+    if n_out <= 0 or a.is_zero() or b.is_zero():
+        return QSeries.zero(valid, a.grid)
+    out = _convolve(list(a.coeffs), list(b.coeffs), n_out)
+    return QSeries._make(a.grid, lead, valid, out)
+
+
+def oracle_inverse(x: QSeries) -> QSeries:
+    out = _quotient([CycNumber.one()], list(x.coeffs), len(x.coeffs))
+    return QSeries._make(x.grid, -x.lead, x.valid_to - 2 * x.lead, out)
+
+
+def oracle_div(x: QSeries, y: QSeries) -> QSeries:
+    a, b = x._common(y)
+    if a.is_zero():
+        return QSeries.zero(min(a.valid_to - b.lead,
+                                b.valid_to + a.lead - 2 * b.lead), a.grid)
+    lead = a.lead - b.lead
+    n_out = min(a.valid_to - a.lead, b.valid_to - b.lead)
+    out = _quotient(list(a.coeffs), list(b.coeffs), n_out)
+    return QSeries._make(a.grid, lead, lead + n_out, out)
+
+
+# -- seeded inputs -------------------------------------------------------------
+
+KINDS = ["int", "frac", "cyc3", "cyc4", "cyc12", "cyc60", "mixed", "grid12"]
+
+
+def rand_coeff(rng, kind, p_zero=0.3):
+    if rng.random() < p_zero:
+        return 0
+    if kind in ("int", "grid12"):
+        return rng.randint(-9, 9)
+    if kind == "frac":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    order = int(kind[3:]) if kind.startswith("cyc") else rng.choice((1, 3, 4, 12))
+    if rng.random() < 0.2:
+        order = 1
+    return CycNumber.make(order, [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                                  for _ in range(euler_phi(order))])
+
+
+def rand_series(rng, kind, nonzero_lead=False):
+    """A seeded series with leading and interior zeros and a padded window."""
+    length = rng.randint(1, 6 if kind == "cyc60" else 16)
+    coeffs = [rand_coeff(rng, kind) for _ in range(length)]
+    if nonzero_lead:
+        while coeffs[0] == 0:
+            coeffs[0] = rand_coeff(rng, kind, p_zero=0)
+    lead = rng.randint(-3, 3)
+    valid_to = lead + length + rng.randint(0, 5)
+    s = QSeries.from_coeffs(coeffs, lead=lead, valid_to=valid_to)
+    if kind == "grid12":
+        s = s.regrid(12).shift(rng.choice((0, 1, 5)), 12)
+    return s
+
+
+def divisor(rng, kind):
+    while True:
+        b = rand_series(rng, kind, nonzero_lead=True)
+        if not b.is_zero():
+            return b
+
+
+def mixed_orders(*series):
+    return len({c.order for s in series for c in s.coeffs} - {1}) > 1
+
+
+# -- the comparisons -----------------------------------------------------------
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_product_matches_schoolbook(kind):
+    rng = random.Random(f"mul-{kind}")
+    for _ in range(40):
+        a, b = rand_series(rng, kind), rand_series(rng, kind)
+        assert (a * b).to_record() == oracle_mul(a, b).to_record(), (a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_quotient_matches_schoolbook(kind):
+    rng = random.Random(f"div-{kind}")
+    for _ in range(20):
+        a, b = rand_series(rng, kind), divisor(rng, kind)
+        got, want = a / b, oracle_div(a, b)
+        inv, inv_want = b.inverse(), oracle_inverse(b)
+        if mixed_orders(a, b):
+            assert got == want and inv == inv_want, (a, b)
+        else:
+            assert got.to_record() == want.to_record(), (a, b)
+            assert inv.to_record() == inv_want.to_record(), b
+
+
+@pytest.mark.parametrize("kind", ["int", "cyc12", "grid12"])
+def test_exact_quotients(kind):
+    """Long quotients that terminate leave zero remainders in the halving."""
+    rng = random.Random(f"exact-{kind}")
+    for _ in range(3):
+        b = QSeries.from_coeffs([rand_coeff(rng, kind, 0)]
+                                + [rand_coeff(rng, kind) for _ in range(rng.randint(40, 90))])
+        c = QSeries.from_coeffs([rand_coeff(rng, kind, 0) for _ in range(rng.randint(1, 4))],
+                                valid_to=len(b.coeffs))
+        if kind == "grid12":
+            b, c = b.regrid(12).shift(1, 12), c.regrid(12)
+        a = b * c
+        assert (a / b).to_record() == oracle_div(a, b).to_record()
+        assert (a / b).agrees_with(c)
+
+
+def test_truncated_operands():
+    rng = random.Random("truncated")
+    for kind in ("int", "cyc12"):
+        long = QSeries.from_coeffs([rand_coeff(rng, kind, 0) for _ in range(30)])
+        short = QSeries.from_coeffs([1, 2, 3], lead=2, valid_to=6)
+        for a, b in ((long, short), (short, long)):
+            assert (a * b).to_record() == oracle_mul(a, b).to_record()
+            assert (a / b).to_record() == oracle_div(a, b).to_record()
+
+
+def test_mixed_order_products_keep_pair_orders():
+    z3, z4 = CycNumber.make(3, [0, 1]), CycNumber.make(4, [0, 1])
+    z12 = CycNumber.make(12, [0, 1, 0, 0])
+    a = QSeries.from_coeffs([z3, 2, z4, 0, z12, z3], valid_to=9)
+    b = QSeries.from_coeffs([1, z4, 0, z3], valid_to=9)
+    got = a * b
+    assert got.to_record() == oracle_mul(a, b).to_record()
+    assert {c.order for c in got.coeffs} == {3, 4, 12}
+
+
+@pytest.mark.parametrize("lead", [2, -3, Fraction(3, 4), CycNumber.make(3, [1, 1]),
+                                  CycNumber.make(12, [1, 0, 2, 0])])
+def test_divisor_leads(lead):
+    rng = random.Random(f"lead-{lead}")
+    kind = "int" if isinstance(lead, int) else "frac" if isinstance(lead, Fraction) \
+        else f"cyc{lead.order}"
+    for _ in range(6):
+        a = rand_series(rng, kind)
+        b = QSeries.from_coeffs([lead] + [rand_coeff(rng, kind) for _ in range(9)], lead=1)
+        assert (a / b).to_record() == oracle_div(a, b).to_record()
+        assert b.inverse().to_record() == oracle_inverse(b).to_record()
+
+
+def test_zero_numerator_window():
+    b = QSeries.from_coeffs([3, 1, 4], lead=-2, grid=12, valid_to=7)
+    for a in (QSeries.zero(5), QSeries.zero(40, 12)):
+        assert (a / b).to_record() == oracle_div(a, b).to_record()
+
+
+def test_lcm_order_above_bound_raises():
+    a = QSeries.from_coeffs([CycNumber.make(9, [0, 1, 0, 0, 0, 0])])
+    b = QSeries.from_coeffs([CycNumber.make(64, [0, 1] + [0] * 30)])
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        oracle_mul(a, b)
+
+
+def test_division_is_product_with_inverse():
+    rng = random.Random("div-inverse")
+    for kind in KINDS:
+        for _ in range(5):
+            a, b = rand_series(rng, kind), divisor(rng, kind)
+            got, want = a / b, a * b.inverse()
+            assert (got.grid, got.lead, got.valid_to) == (want.grid, want.lead, want.valid_to)
+            if mixed_orders(a, b):
+                assert got == want, (a, b)
+            else:
+                assert got.to_record() == want.to_record(), (a, b)
