@@ -84,8 +84,11 @@ def _emit(args, payload: dict, text: str) -> None:
     else:
         body = text if text.endswith("\n") else text + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise UsageError(f"{args.output}: cannot write output ({exc.strerror})") from None
     else:
         sys.stdout.write(body)
 
@@ -129,6 +132,8 @@ def cmd_series(args) -> int:
 
 def cmd_analyze(args) -> int:
     _check_order(args.order)
+    if args.enumerate_ and args.kmin > args.kmax:
+        raise UsageError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     rep = _load(args.rep_path, load_rep)
     profile = weight_profile(rep)
     mult = multiplicities(rep)
@@ -268,9 +273,6 @@ def main(argv=None) -> int:
     except (RepValidationError, VvmfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

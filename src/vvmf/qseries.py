@@ -1,19 +1,27 @@
 """Truncated Puiseux/Laurent series in q with exact cyclotomic coefficients.
 
-A series lives on an exponent grid (1/grid)*Z; ``coeffs[i]`` is the
-coefficient of q^((lead+i)/grid) and the expansion is trusted for all
-exponents strictly below valid_to/grid.  Every operation tracks validity
-conservatively, so truncation can never turn into a silently wrong claim.
+A series is stored at the stride of its support: ``terms[i]`` is the
+coefficient of q^((lead + i*step)/grid), ``step`` divides ``grid``, and every
+coefficient off that stride is zero, so grid-12 eta powers store no zeros.
+``coeffs`` is the dense view, one entry per grid step, as in the JSON wire
+form.  The expansion is trusted for all exponents strictly below
+valid_to/grid.  Every operation tracks validity conservatively, so
+truncation can never turn into a silently wrong claim.
 
-Products run on one integer kernel: both operands go to one cyclotomic
-order N, a common denominator and phi(N) integer coordinates per
-coefficient; q and zeta are packed into one big int (Kronecker substitution,
-2*phi-1 byte-wide slots per q step, at stride g when the nonzero offsets
-share a gcd g > 1) and multiplied once.  Product coefficient k keeps the
-order lcm(ord a_i, ord b_j) over its nonzero pairs i + j = k.  Quotients
-halve recursively on that product and finish short blocks with a Newton
-inverse of the divisor, never forming all of 1/b, whose coefficients can
-dwarf those of a/b.
+    >>> from vvmf.scalarforms import eta_squared
+    >>> s = eta_squared(8)
+    >>> s.grid, s.lead, s.step, len(s.terms), len(s.coeffs)
+    (12, 1, 12, 8, 96)
+
+Products and quotients take the stored terms at the gcd of the two strides
+to one integer kernel: both operands go to one cyclotomic order N, a common
+denominator and phi(N) integer coordinates per coefficient; q and zeta are
+packed into one big int (Kronecker substitution, 2*phi-1 byte-wide slots per
+term) and multiplied once.  Product coefficient k keeps the order
+lcm(ord a_i, ord b_j) over its nonzero pairs i + j = k.  Quotients halve
+recursively on that product and finish short blocks with a Newton inverse
+of the divisor, never forming all of 1/b, whose coefficients can dwarf
+those of a/b.
 
 All values are immutable and operations are pure.
 """
@@ -26,6 +34,8 @@ from fractions import Fraction
 
 from .errors import PrecisionError
 from .exactfield import CycNumber, _check_order, _coerce, _reduction_rows, euler_phi
+
+_ZERO = CycNumber.zero()
 
 
 def _as_cyc(value) -> CycNumber:
@@ -40,34 +50,32 @@ class QSeries:
     grid: int
     lead: int
     valid_to: int
-    coeffs: tuple[CycNumber, ...]
+    step: int
+    terms: tuple[CycNumber, ...]
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _make(grid: int, lead: int, valid_to: int, coeffs) -> QSeries:
-        """Normalize: trim leading zeros, canonicalize zero, minimize grid."""
-        coeffs = [_as_cyc(c).demoted() for c in coeffs]
-        if len(coeffs) != valid_to - lead:
+    def _make(grid: int, lead: int, valid_to: int, coeffs, step: int = 1) -> QSeries:
+        """The normal form of the series with ``coeffs`` at lead + i*step (step
+        dividing grid): leading zeros trimmed, stored at the gcd of the grid
+        and the nonzero offsets, on the grid reduced by gcd(lead, stride)."""
+        coeffs = [_as_cyc(c) for c in coeffs]
+        if len(coeffs) != -(-(valid_to - lead) // step):
             raise ValueError("coefficient count must equal valid_to - lead")
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            lead += 1
-        if not coeffs:
+        nonzero = [i for i, c in enumerate(coeffs) if not c.is_zero()]
+        if not nonzero:
             # Canonical zero on grid 1; keep the (floored) validity bound.
             v = valid_to // grid
-            return QSeries(1, v, v, ())
-        g = math.gcd(grid, *(lead + i for i, c in enumerate(coeffs) if not c.is_zero()))
-        if g > 1:
-            new_grid = grid // g
-            new_lead = lead // g
-            new_valid = valid_to // g
-            out = []
-            for pos in range(new_lead, new_valid):
-                idx = pos * g - lead
-                out.append(coeffs[idx] if 0 <= idx < len(coeffs) else CycNumber.zero())
-            return QSeries(new_grid, new_lead, new_valid, tuple(out))
-        return QSeries(grid, lead, valid_to, tuple(coeffs))
+            return QSeries(1, v, v, 1, ())
+        first = nonzero[0]
+        lead += first * step
+        stride = math.gcd(grid, *(step * (i - first) for i in nonzero))
+        terms = coeffs[first::stride // step]
+        g = math.gcd(lead, stride)
+        lead, valid_to, stride = lead // g, valid_to // g, stride // g
+        terms = terms[:-(-(valid_to - lead) // stride)]
+        return QSeries(grid // g, lead, valid_to, stride, tuple(c.demoted() for c in terms))
 
     @staticmethod
     def from_coeffs(coeffs, lead: int = 0, grid: int = 1, valid_to: int | None = None) -> QSeries:
@@ -81,7 +89,7 @@ class QSeries:
             valid_to = lead + len(coeffs)
         if valid_to < lead + len(coeffs):
             raise ValueError("valid_to cannot cut into the supplied coefficients")
-        coeffs += [CycNumber.zero()] * (valid_to - lead - len(coeffs))
+        coeffs += [_ZERO] * (valid_to - lead - len(coeffs))
         return QSeries._make(grid, lead, valid_to, coeffs)
 
     @staticmethod
@@ -100,8 +108,23 @@ class QSeries:
 
     # -- basic queries ------------------------------------------------------
 
+    def _at(self, step: int, start: int, n: int) -> list[CycNumber]:
+        """The coefficients of q^((start + k*step)/grid), k < n, for a ``step``
+        dividing the stored step and a ``start`` <= lead congruent to it."""
+        first = (self.lead - start) // step
+        m = self.step // step
+        terms = self.terms[:max(0, -(-(n - first) // m))]
+        out = [_ZERO] * n
+        out[first:first + len(terms) * m:m] = terms
+        return out
+
+    @property
+    def coeffs(self) -> tuple[CycNumber, ...]:
+        """Dense view: the coefficient of q^((lead + i)/grid) up to valid_to."""
+        return tuple(self._at(1, self.lead, self.valid_to - self.lead))
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def valuation(self) -> Fraction:
         """Lowest exponent; the pole order at q=0 is max(0, -valuation)."""
@@ -128,16 +151,16 @@ class QSeries:
             )
         num = e * self.grid
         if num.denominator != 1:
-            return CycNumber.zero()
-        idx = int(num) - self.lead
-        if 0 <= idx < len(self.coeffs):
-            return self.coeffs[idx]
-        return CycNumber.zero()
+            return _ZERO
+        idx, off = divmod(int(num) - self.lead, self.step)
+        if off == 0 and 0 <= idx < len(self.terms):
+            return self.terms[idx]
+        return _ZERO
 
     def leading_coefficient(self) -> CycNumber:
         if self.is_zero():
             raise ValueError("zero series has no leading coefficient")
-        return self.coeffs[0]
+        return self.terms[0]
 
     # -- grid handling ------------------------------------------------------
 
@@ -146,13 +169,8 @@ class QSeries:
         if grid % self.grid != 0:
             raise ValueError(f"{grid} is not a multiple of grid {self.grid}")
         m = grid // self.grid
-        if m == 1:
-            return self
-        out = [CycNumber.zero()] * (len(self.coeffs) * m)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
-        # Dodge _make's re-minimization: the refined form is requested as is.
-        return QSeries(grid, self.lead * m, self.valid_to * m, tuple(out))
+        # Not re-minimized by _make: the refined form is requested as is.
+        return QSeries(grid, self.lead * m, self.valid_to * m, self.step * m, self.terms)
 
     def _common(self, other: QSeries) -> tuple[QSeries, QSeries]:
         g = math.lcm(self.grid, other.grid)
@@ -163,57 +181,39 @@ class QSeries:
         g = math.lcm(self.grid, den)
         s = self.regrid(g)
         d = num * (g // den)
-        return QSeries._make(g, s.lead + d, s.valid_to + d, list(s.coeffs))
+        return QSeries._make(g, s.lead + d, s.valid_to + d, s.terms, s.step)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
-            return self._add_scalar(_as_cyc(other))
+            # A constant trusted at least as far as self.
+            other = QSeries.constant(other, max(1, -(-self.valid_to // self.grid)))
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._common(other)
         valid = min(a.valid_to, b.valid_to)
         lo = min(a.lead, b.lead, valid)
-        out = [CycNumber.zero()] * (valid - lo)
-        for i, c in enumerate(a.coeffs):
-            pos = a.lead + i - lo
-            if 0 <= pos < len(out):
-                out[pos] = out[pos] + c
-        for i, c in enumerate(b.coeffs):
-            pos = b.lead + i - lo
-            if 0 <= pos < len(out):
-                out[pos] = out[pos] + c
-        return QSeries._make(a.grid, lo, valid, out)
+        # A zero operand (lead == valid_to) constrains neither stride nor lead.
+        live = [s for s in (a, b) if s.terms] or [a]
+        step = math.gcd(*(s.step for s in live), *(s.lead - lo for s in live))
+        n = -(-(valid - lo) // step)
+        out = [x + y for x, y in zip(a._at(step, lo, n), b._at(step, lo, n))]
+        return QSeries._make(a.grid, lo, valid, out, step)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.grid, self.lead, self.valid_to,
-                       tuple(-c for c in self.coeffs))
+        return QSeries(self.grid, self.lead, self.valid_to, self.step,
+                       tuple(-c for c in self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            return self._add_scalar(-_as_cyc(other))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, CycNumber, QSeries)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def _add_scalar(self, c: CycNumber) -> QSeries:
-        if c.is_zero():
-            return self
-        if self.valid_to <= 0:
-            # The constant sits at exponent 0, outside the trusted window.
-            return self
-        lo = min(self.lead, 0)
-        out = [CycNumber.zero()] * (self.valid_to - lo)
-        for i, v in enumerate(self.coeffs):
-            out[self.lead + i - lo] = v
-        out[-lo] = out[-lo] + c
-        return QSeries._make(self.grid, lo, self.valid_to, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
@@ -221,17 +221,18 @@ class QSeries:
             if c.is_zero():
                 return QSeries.zero(self.valid_to, self.grid)
             return QSeries._make(self.grid, self.lead, self.valid_to,
-                                 [v * c for v in self.coeffs])
+                                 [v * c for v in self.terms], self.step)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = self._common(other)
         valid = min(a.valid_to + b.lead, b.valid_to + a.lead)
         lead = a.lead + b.lead
-        n_out = valid - lead
-        if n_out <= 0 or a.is_zero() or b.is_zero():
+        if valid <= lead or a.is_zero() or b.is_zero():
             return QSeries.zero(valid, a.grid)
-        out = _product(list(a.coeffs), list(b.coeffs), n_out)
-        return QSeries._make(a.grid, lead, valid, out)
+        step = math.gcd(a.step, b.step)
+        n = -(-(valid - lead) // step)
+        return QSeries._make(a.grid, lead, valid,
+                             _product(a._at(step, a.lead, n), b._at(step, b.lead, n), n), step)
 
     __rmul__ = __mul__
 
@@ -240,7 +241,8 @@ class QSeries:
         if self.is_zero():
             raise ZeroDivisionError("division by (truncated) zero series")
         return QSeries._make(self.grid, -self.lead, self.valid_to - 2 * self.lead,
-                             _divide([CycNumber.one()], list(self.coeffs), len(self.coeffs)))
+                             _divide([CycNumber.one()], list(self.terms), len(self.terms)),
+                             self.step)
 
     def __truediv__(self, other):
         """Exact quotient, trusted as far as both operands allow.
@@ -259,13 +261,14 @@ class QSeries:
         if other.is_zero():
             raise ZeroDivisionError("division by (truncated) zero series")
         a, b = self._common(other)
-        if a.is_zero():
-            return QSeries.zero(min(a.valid_to - b.lead,
-                                    b.valid_to + a.lead - 2 * b.lead), a.grid)
+        if a.is_zero():  # so a.valid_to == a.lead
+            return QSeries.zero(a.lead - b.lead, a.grid)
         lead = a.lead - b.lead
-        n_out = min(a.valid_to - a.lead, b.valid_to - b.lead)
-        out = _divide(list(a.coeffs), list(b.coeffs), n_out)
-        return QSeries._make(a.grid, lead, lead + n_out, out)
+        width = min(a.valid_to - a.lead, b.valid_to - b.lead)
+        step = math.gcd(a.step, b.step)
+        n = -(-width // step)
+        return QSeries._make(a.grid, lead, lead + width,
+                             _divide(a._at(step, a.lead, n), b._at(step, b.lead, n), n), step)
 
     def __pow__(self, k: int) -> QSeries:
         if not isinstance(k, int):
@@ -306,7 +309,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.grid, self.lead, self.valid_to) == (other.grid, other.lead, other.valid_to) \
-            and all(x == y for x, y in zip(self.coeffs, other.coeffs))
+            and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -326,10 +329,10 @@ class QSeries:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.terms):
             if c.is_zero():
                 continue
-            qpart = self._exp_str(self.lead + i)
+            qpart = self._exp_str(self.lead + i * self.step)
             if not qpart:
                 parts.append(str(c) if c.is_rational() else f"({c})")
             elif c == 1:
@@ -376,36 +379,32 @@ class QSeries:
 _LEAF = 32
 
 
-def _product(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
-    """First n_out coefficients of a*b (dense lists), each at its pair order."""
-    step, a, b, order = _strided(a, b, n_out)
-    size = (n_out - 1) // step + 1
-    (xs, den_a), (ys, den_b) = _integer_coords(a, order), _integer_coords(b, order)
-    out = _box(_mul(xs, ys, size, order), order, [den_a * den_b] * size, step, n_out)
+def _product(a: list[CycNumber], b: list[CycNumber], n: int) -> list[CycNumber]:
+    """First n coefficients of a*b, each at its pair order."""
+    order, (xs, den_a), (ys, den_b) = _coords(a, b)
+    out = _box(_mul(xs, ys, n, order), order, [den_a * den_b] * n)
     if len({c.order for c in a + b} - {1}) > 1:
-        out[::step] = [v.reduce_order_to(t) if v.order not in (1, t) else v
-                       for v, t in zip(out[::step], _pair_orders(a, b, size))]
+        out = [v.reduce_order_to(t) if v.order not in (1, t) else v
+               for v, t in zip(out, _pair_orders(a, b, n))]
     return out
 
 
-def _divide(a: list[CycNumber], b: list[CycNumber], n_out: int) -> list[CycNumber]:
-    """First n_out coefficients of a/b for dense lists with b[0] != 0."""
-    step, a, b, order = _strided(a, b, n_out)
-    size = (n_out - 1) // step + 1
+def _divide(a: list[CycNumber], b: list[CycNumber], n: int) -> list[CycNumber]:
+    """First n coefficients of a/b for b[0] != 0."""
+    order, (xs, den_a), (ys, den_b) = _coords(a, b)
     phi = euler_phi(order)
-    (xs, den_a), (ys, den_b) = _integer_coords(a, order), _integer_coords(b, order)
-    xs += [0] * (size * phi - len(xs))
+    xs += [0] * (n * phi - len(xs))
     # Scale by unit/du = 1/b_0 so that the divisor starts with the integer du,
     # then substitute q -> du*q so that it starts with 1 and stays integral.
     lead = CycNumber(order, tuple(Fraction(v) for v in ys[:phi])).inverse()
     unit, du = _integer_coords([lead], order)
     if unit != [1] + [0] * (phi - 1):
-        xs, ys = _mul(xs, unit, size, order), _mul(ys, unit, size, order)
+        xs, ys = _mul(xs, unit, n, order), _mul(ys, unit, n, order)
     xs = [v * du ** (i // phi) for i, v in enumerate(xs)]
     ys = [v * du ** (i // phi - 1) if i >= phi else int(i == 0) for i, v in enumerate(ys)]
-    quotient = _halves(xs, ys, _inverse(ys, min(size, _LEAF), order), size, order)
-    dens = [den_a * du ** (k + 1) for k in range(size)]
-    return _box([v * den_b for v in quotient], order, dens, step, n_out)
+    quotient = _halves(xs, ys, _inverse(ys, min(n, _LEAF), order), n, order)
+    dens = [den_a * du ** (k + 1) for k in range(n)]
+    return _box([v * den_b for v in quotient], order, dens)
 
 
 def _halves(xs: list[int], ys: list[int], inv: list[int], n: int, order: int) -> list[int]:
@@ -436,14 +435,12 @@ def _inverse(ys: list[int], n: int, order: int) -> list[int]:
     return x
 
 
-def _strided(a: list[CycNumber], b: list[CycNumber], n_out: int):
-    """The gcd g of the nonzero offsets, both lists at stride g, their common order."""
-    a, b = a[:n_out], b[:n_out]
-    step = math.gcd(*(i for s in (a, b) for i, c in enumerate(s) if not c.is_zero())) or n_out
-    a, b = a[::step], b[::step]
+def _coords(a: list[CycNumber], b: list[CycNumber]):
+    """The common order N of the nonzero coefficients (N <= 360) and both
+    lists' integer coordinates at N."""
     order = math.lcm(*(c.order for c in a + b if not c.is_zero()))
     _check_order(order)
-    return step, a, b, order
+    return order, _integer_coords(a, order), _integer_coords(b, order)
 
 
 def _integer_coords(coeffs: list[CycNumber], order: int) -> tuple[list[int], int]:
@@ -453,15 +450,15 @@ def _integer_coords(coeffs: list[CycNumber], order: int) -> tuple[list[int], int
     return [x.numerator * (den // x.denominator) for co in coords for x in co], den
 
 
-def _box(flat: list[int], order: int, dens: list[int], step: int, n_out: int) -> list[CycNumber]:
-    """n_out CycNumbers, coefficient k of the flat coordinates over dens[k] at k*step."""
+def _box(flat: list[int], order: int, dens: list[int]) -> list[CycNumber]:
+    """CycNumbers from flat coordinates, phi per coefficient, coefficient k over dens[k]."""
     phi = euler_phi(order)
-    out = [CycNumber.zero()] * n_out
+    out = [_ZERO] * len(dens)
     for k, den in enumerate(dens):
         coords = flat[k * phi:(k + 1) * phi]
         if any(coords):
             fracs = tuple(Fraction(x, den) if den != 1 else Fraction(x) for x in coords)
-            out[k * step] = CycNumber(order, fracs).demoted()
+            out[k] = CycNumber(order, fracs).demoted()
     return out
 
 

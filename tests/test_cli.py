@@ -236,6 +236,27 @@ def test_malformed_input_is_usage_error(command, bad, malformed_dir, gens_file,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_is_usage_error(where, tmp_path, capsys):
+    path = str(tmp_path if where == "directory" else tmp_path / "absent" / "out.txt")
+    assert main(["series", "J", "--order", "8", "--output", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_enumerate_empty_k_range_is_usage_error(rep_file, capsys):
+    assert main(["analyze", rep_file, "--enumerate", "--kmin", "5", "--kmax", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_k_range_is_ignored_without_enumerate(rep_file, capsys):
+    assert main(["analyze", rep_file, "--kmin", "5", "--kmax", "1"]) == 0
+    assert capsys.readouterr().out.startswith("representation kappa^2")
+
+
 def test_no_assert_statements_in_package():
     """Checks must survive python -O, which strips assert statements."""
     found = []

@@ -8,6 +8,7 @@ import pytest
 from vvmf.errors import PrecisionError
 from vvmf.exactfield import root_of_unity
 from vvmf.qseries import QSeries
+from vvmf.scalarforms import eta_squared
 
 
 def poly(coeffs, lead=0, grid=1, valid_to=40):
@@ -133,6 +134,22 @@ def test_grid_minimization():
     t = QSeries.from_coeffs([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2],
                             lead=1, grid=12, valid_to=20)
     assert t.grid == 12  # support 1/12 + Z does not simplify
+
+
+def test_stride_normal_form():
+    """A series is stored at the stride of its support, built either way."""
+    s = eta_squared(64)
+    assert (s.grid, s.lead, s.step, len(s.terms)) == (12, 1, 12, 64)
+    coeffs = [1, -2, 0, 5, 0, 0, 7]
+    dense = [0] * (12 * len(coeffs))
+    dense[::12] = coeffs
+    built = QSeries.from_coeffs(dense, lead=1, grid=12)
+    moved = QSeries.from_coeffs(coeffs).regrid(12).shift(1, 12)
+    form = (built.grid, built.lead, built.valid_to, built.step, built.terms)
+    assert form == (moved.grid, moved.lead, moved.valid_to, moved.step, moved.terms)
+    assert form[:4] == (12, 1, 85, 12) and len(built.terms) == 7
+    assert list(moved.coeffs) == dense
+    assert built.to_record() == moved.to_record() and built == moved
 
 
 def test_conservative_window_on_multiplication():

@@ -117,6 +117,18 @@ def oracle_mul(x: QSeries, y: QSeries) -> QSeries:
     return QSeries._make(a.grid, lead, valid, out)
 
 
+def oracle_add(x: QSeries, y: QSeries, sign: int) -> QSeries:
+    """x + sign*y from the dense coefficient lists."""
+    a, b = x._common(y)
+    valid = min(a.valid_to, b.valid_to)
+    lo = min(a.lead, b.lead, valid)
+    out = [CycNumber.zero()] * (valid - lo)
+    for s, f in ((a, 1), (b, sign)):
+        for i, c in enumerate(s.coeffs[:max(0, valid - s.lead)]):
+            out[s.lead + i - lo] += c * f
+    return QSeries._make(a.grid, lo, valid, out)
+
+
 def oracle_inverse(x: QSeries) -> QSeries:
     out = _quotient([CycNumber.one()], list(x.coeffs), len(x.coeffs))
     return QSeries._make(x.grid, -x.lead, x.valid_to - 2 * x.lead, out)
@@ -135,13 +147,13 @@ def oracle_div(x: QSeries, y: QSeries) -> QSeries:
 
 # -- seeded inputs -------------------------------------------------------------
 
-KINDS = ["int", "frac", "cyc3", "cyc4", "cyc12", "cyc60", "mixed", "grid12"]
+KINDS = ["int", "frac", "cyc3", "cyc4", "cyc12", "cyc60", "mixed", "grid12", "stride"]
 
 
 def rand_coeff(rng, kind, p_zero=0.3):
     if rng.random() < p_zero:
         return 0
-    if kind in ("int", "grid12"):
+    if kind in ("int", "grid12", "stride"):
         return rng.randint(-9, 9)
     if kind == "frac":
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
@@ -164,6 +176,12 @@ def rand_series(rng, kind, nonzero_lead=False):
     s = QSeries.from_coeffs(coeffs, lead=lead, valid_to=valid_to)
     if kind == "grid12":
         s = s.regrid(12).shift(rng.choice((0, 1, 5)), 12)
+    if kind == "stride":
+        # Terms at 1 + 12k and 1 + d + 12k: support of stride d on grid 12.
+        d = rng.choice((2, 3, 4, 6))
+        other = QSeries.from_coeffs([rand_coeff(rng, kind) for _ in range(length)],
+                                    lead=lead, valid_to=valid_to)
+        s = s.regrid(12).shift(1, 12) + other.regrid(12).shift(1 + d, 12)
     return s
 
 
@@ -200,6 +218,27 @@ def test_quotient_matches_schoolbook(kind):
         else:
             assert got.to_record() == want.to_record(), (a, b)
             assert inv.to_record() == inv_want.to_record(), b
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sum_matches_dense(kind):
+    rng = random.Random(f"add-{kind}")
+    for _ in range(40):
+        a, b = rand_series(rng, kind), rand_series(rng, kind)
+        assert (a + b).to_record() == oracle_add(a, b, 1).to_record(), (a, b)
+        assert (a - b).to_record() == oracle_add(a, b, -1).to_record(), (a, b)
+        # A scalar lands on q^0 when that lies in the window, and keeps it.
+        c = a + 5
+        assert c.valid_exponent() == a.valid_exponent(), a
+        for k in range(min(a.lead, 0), a.valid_to):
+            e = Fraction(k, a.grid)
+            assert c.coefficient(e) == a.coefficient(e) + (5 if k == 0 else 0), (a, e)
+
+
+def test_stride_kind_has_unequal_strides():
+    rng = random.Random("stride-kind")
+    steps = {s.step for s in (rand_series(rng, "stride") for _ in range(40)) if s.grid == 12}
+    assert {2, 3, 4, 6} <= steps
 
 
 @pytest.mark.parametrize("kind", ["int", "cyc12", "grid12"])
