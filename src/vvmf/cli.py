@@ -20,7 +20,7 @@ from .detlab import (check_generator_determinant, det_zero,
                      weak_generating_set)
 from .errors import PrecisionError, RepValidationError, VvmfError
 from .replib import load_rep, multiplicities, t_is_semisimple, traces
-from .scalarforms import named_form
+from .scalarforms import gen_form_order, named_form
 from .suites import SUITE_NAMES, run_suite
 from .weightcalc import enumerate_weight_multisets, weight_profile
 
@@ -30,6 +30,7 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
 MIN_ORDER = 8
+MAX_ORDER = 8192
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--order", type=int, default=128,
-                       help="expansion order (trusted exponent bound), >= 8")
+                       help="expansion order (trusted exponent bound), 8 to 8192")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--output", metavar="PATH",
                        help="write the report here instead of stdout")
@@ -96,6 +97,8 @@ def _emit(args, payload: dict, text: str) -> None:
 def _check_order(order: int) -> None:
     if order < MIN_ORDER:
         raise UsageError(f"--order must be at least {MIN_ORDER}, got {order}")
+    if order > MAX_ORDER:
+        raise UsageError(f"--order must be at most {MAX_ORDER}, got {order}")
 
 
 class UsageError(Exception):
@@ -114,6 +117,13 @@ def _load(path: str, parse):
 
 def cmd_series(args) -> int:
     _check_order(args.order)
+    if args.name.startswith("f:"):
+        try:
+            need = gen_form_order(int(args.name[2:]), args.order)
+        except ValueError:
+            need = 0  # not f:<n>; named_form rejects the name below
+        if need > MAX_ORDER:
+            raise UsageError(f"{args.name} expands to order {need}, above the ceiling {MAX_ORDER}")
     try:
         series = named_form(args.name, args.order)
     except KeyError:

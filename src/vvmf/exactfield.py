@@ -1,9 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1)
-modulo the N-th cyclotomic polynomial, so representations are canonical and
-equality is coefficient-wise.  Rational coefficients use the stdlib
-``fractions.Fraction`` (arbitrary precision, always in lowest terms).
+modulo the N-th cyclotomic polynomial, as integer coordinates over one
+positive denominator kept in lowest terms, so representations are canonical
+and equality is coordinate-wise:
+
+    >>> x = CycNumber.make(4, ["1/2", "3/4"])
+    >>> x.num, x.den
+    ((2, 3), 4)
+
+Products run on the integer Kronecker kernel that also multiplies series;
+the inverse divides the product of the Galois conjugates by the norm.
 
 Mixed-order arithmetic lifts both operands to the field of order
 lcm(order_a, order_b) first.  All values are immutable and all operations are
@@ -21,16 +28,12 @@ from functools import lru_cache
 # silently; everything in this package lives in Q(zeta_12) and subfields.
 MAX_ORDER = 360
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def euler_phi(n: int) -> int:
     """Euler's totient of a positive integer."""
     if n < 1:
         raise ValueError(f"euler_phi needs a positive integer, got {n}")
-    result = n
-    m = n
+    result = m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
@@ -53,8 +56,8 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     """Quotient and remainder of polynomials (constant term first) over Q or
     Q(zeta); den[-1] must be nonzero."""
     num = list(num)
-    inv = _ONE / den[-1]
-    quot = [_ZERO] * max(1, len(num) - len(den) + 1)
+    inv = Fraction(1) / den[-1]
+    quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
         c = quot[i] = num[i + len(den) - 1] * inv
         if c != 0:
@@ -91,7 +94,7 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     """x^k mod Phi_order as dense integer rows.
 
     Covers k up to max(2*phi - 2, order - 1): products need the first range,
-    root_of_unity the second.
+    root_of_unity, lifts and conjugates the second.
     """
     phi = euler_phi(order)
     modulus = cyclotomic_polynomial(order)
@@ -111,82 +114,102 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def _mul_mod(order: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    phi = len(a)
+def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
+    """First n coefficients of the product of two flat coordinate lists, phi
+    per coefficient (n = 1: two field elements), with 2*phi-1 slots per
+    coefficient; zeta^k for k >= phi is reduced afterwards."""
+    phi = euler_phi(order)
     if phi == 1:
-        return (a[0] * b[0],)
-    prod = [_ZERO] * (2 * phi - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    rows = _reduction_rows(order)
-    out = list(prod[:phi])
-    for k in range(phi, 2 * phi - 1):
-        c = prod[k]
-        if c:
-            row = rows[k]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-    return tuple(out)
+        return _kronecker(xs[:n], ys[:n], n)
+    span = 2 * phi - 1
+    pad = [0] * (phi - 1)
+    xs, ys = ([v for i in range(0, min(len(zs), n * phi), phi) for v in [*zs[i:i + phi], *pad]]
+              for zs in (xs, ys))
+    flat = _kronecker(xs, ys, n * span)
+    rows = _reduction_rows(order)[phi:span]
+    out = []
+    for base in range(0, n * span, span):
+        coords = flat[base:base + phi]
+        for c, row in zip(flat[base + phi:base + span], rows):
+            if c:
+                coords = [x + c * r for x, r in zip(coords, row)]
+        out += coords
+    return out
 
 
-def _poly_ext_inverse(coeffs: tuple[Fraction, ...], modulus: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Inverse of a nonzero polynomial modulo the (irreducible) modulus.
+def _kronecker(xs: list[int], ys: list[int], size: int) -> list[int]:
+    """First ``size`` coefficients of the product of two integer polynomials
+    by one big-int multiply: whole-byte slots hold the bound min(len) * max|x|
+    * max|y| and carry a bias of half their range, so they never borrow."""
+    bound = min(len(xs), len(ys)) * max(map(abs, xs), default=0) * max(map(abs, ys), default=0)
+    if not bound:
+        return [0] * size
+    width = (bound.bit_length() + 8) // 8
+    half, mask = 1 << (8 * width - 1), (1 << (8 * width * size)) - 1
+    packed = (_pack(xs, width) * _pack(ys, width) + _bias(size, width)) & mask
+    data = packed.to_bytes(size * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, size * width, width)]
 
-    Extended Euclid over Q[x]; returns coefficients of length phi.
-    """
-    phi = len(modulus) - 1
-    r0 = [Fraction(c) for c in modulus]
-    r1 = _poly_trim([Fraction(c) for c in coeffs])
-    s0, s1 = [], [_ONE]
-    while len(r1) > 1:
-        q, r = _poly_divmod(r0, r1)
-        # s_next = s0 - q * s1
-        s_next = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    if sj:
-                        s_next[i + j] -= qi * sj
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(s_next)
-    if not r1:
-        raise ZeroDivisionError("element is zero modulo the cyclotomic polynomial")
-    scale = Fraction(1) / r1[0]
-    out = [c * scale for c in s1]
-    out += [_ZERO] * (phi - len(out))
-    return tuple(out[:phi])
+
+def _pack(values: list[int], width: int) -> int:
+    half = 1 << (8 * width - 1)
+    data = b"".join((v + half).to_bytes(width, "little") for v in values)
+    return int.from_bytes(data, "little") - _bias(len(values), width)
+
+
+def _bias(count: int, width: int) -> int:
+    """Half a slot, in each of ``count`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"cyclotomic order must be positive, got {order}")
     if order > MAX_ORDER:
-        raise ValueError(
-            f"cyclotomic order {order} exceeds the supported bound {MAX_ORDER}"
-        )
+        raise ValueError(f"cyclotomic order {order} exceeds the supported bound {MAX_ORDER}")
 
 
-@lru_cache(maxsize=None)
-def _zeta_power(order: int, k: int) -> tuple[Fraction, ...]:
-    """Power-basis coordinates of zeta_order^k (k reduced mod order)."""
-    return tuple(Fraction(c) for c in _reduction_rows(order)[k % order])
+def _substitute(num, order: int, k: int) -> tuple[int, ...]:
+    """Order-``order`` coordinates of sum_i num[i] * zeta_order^(k*i): the lift
+    of num from order/k when k divides order, its conjugate sigma_k when k is a
+    unit mod order."""
+    rows = _reduction_rows(order)
+    out = [0] * euler_phi(order)
+    for i, c in enumerate(num):
+        if c:
+            out = [x + c * r for x, r in zip(out, rows[k * i % order])]
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
 class CycNumber:
-    """An element of Q(zeta_order) in power-basis coordinates.
+    """An element of Q(zeta_order): num[i]/den is the coefficient of zeta_order^i.
 
-    ``coeffs`` has length euler_phi(order); entry i is the coefficient of
-    zeta_order^i.  Two elements of equal order are equal iff their coefficient
-    tuples are equal; mixed orders compare through the common lift.
+    ``num`` has length euler_phi(order) and is kept in lowest terms with
+    ``den`` > 0, so two elements of equal order are equal iff (num, den) are
+    equal; mixed orders compare through the common lift.  The constructor
+    also accepts Fraction coordinates.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        num, den = self.num, self.den
+        if not all(type(x) is int for x in num):
+            scale = math.lcm(*(Fraction(x).denominator for x in num))
+            num, den = tuple(int(x * scale) for x in num), den * scale
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        if g != 1 or num is not self.num:
+            object.__setattr__(self, "num", tuple(x // g for x in num))
+            object.__setattr__(self, "den", den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, entry i the coefficient of zeta_order^i."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @staticmethod
     def make(order: int, coeffs) -> CycNumber:
@@ -195,14 +218,12 @@ class CycNumber:
         vals = tuple(c if isinstance(c, Fraction) else parse_rational(c) for c in coeffs)
         phi = euler_phi(order)
         if len(vals) != phi:
-            raise ValueError(
-                f"order {order} needs {phi} coefficients, got {len(vals)}"
-            )
+            raise ValueError(f"order {order} needs {phi} coefficients, got {len(vals)}")
         return CycNumber(order, vals)
 
     @staticmethod
     def from_rational(value) -> CycNumber:
-        return CycNumber(1, (Fraction(value),))
+        return _coerce(Fraction(value))
 
     @staticmethod
     def zero() -> CycNumber:
@@ -213,20 +234,20 @@ class CycNumber:
         return _CYC_ONE
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return self.order == 1 or not any(self.coeffs[1:])
+        return self.order == 1 or not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def demoted(self) -> CycNumber:
         """Same value at order 1 when the element is rational, else self."""
         if self.order > 1 and self.is_rational():
-            return CycNumber(1, (self.coeffs[0],))
+            return CycNumber(1, self.num[:1], self.den)
         return self
 
     def lift(self, order: int) -> CycNumber:
@@ -236,15 +257,7 @@ class CycNumber:
         _check_order(order)
         if order % self.order != 0:
             raise ValueError(f"cannot lift order {self.order} into order {order}")
-        step = order // self.order
-        phi = euler_phi(order)
-        out = [_ZERO] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, b in enumerate(_zeta_power(order, step * i)):
-                    if b:
-                        out[j] += c * b
-        return CycNumber(order, tuple(out))
+        return CycNumber(order, _substitute(self.num, order, order // self.order), self.den)
 
     def reduce_order_to(self, order: int) -> CycNumber:
         """Express the element in Q(zeta_order) for order | self.order.
@@ -255,11 +268,12 @@ class CycNumber:
             return self
         if self.order % order != 0:
             raise ValueError(f"order {order} does not divide {self.order}")
-        basis = [[CycNumber(1, (x,)) for x in col] for col in _lift_basis(self.order, order)]
-        sol = _solve_exact(basis, [[CycNumber(1, (x,)) for x in self.coeffs]])
+        rows, step = _reduction_rows(self.order), self.order // order
+        basis = [[CycNumber(1, (x,)) for x in rows[step * j]] for j in range(euler_phi(order))]
+        sol = _solve_exact(basis, [[CycNumber(1, (x,)) for x in self.num]])
         if sol is None:
             raise ValueError(f"{self} does not lie in Q(zeta_{order})")
-        return CycNumber(order, tuple(x.coeffs[0] for x in sol[0]))
+        return CycNumber(order, tuple(x.as_rational() for x in sol[0]), self.den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -275,38 +289,42 @@ class CycNumber:
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: CycNumber(
-            a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))))
+            a.order, tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num)), a.den * b.den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         return self._binary(other, lambda a, b: CycNumber(
-            a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))))
+            a.order, tuple(x * b.den - y * a.den for x, y in zip(a.num, b.num)), a.den * b.den))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CycNumber(self.order, tuple(-c for c in self.coeffs))
+        return CycNumber(self.order, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycNumber(self.order, tuple(c * f for c in self.coeffs))
+            return CycNumber(self.order, tuple(x * other.numerator for x in self.num),
+                             self.den * other.denominator)
         return self._binary(other, lambda a, b: CycNumber(
-            a.order, _mul_mod(a.order, a.coeffs, b.coeffs)))
+            a.order, tuple(_mul(a.num, b.num, 1, a.order)), a.den * b.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNumber:
+        """den * P / (num * P), where P is the product of the conjugates
+        sigma_k(num), 1 < k < order prime to order, so that the norm
+        num * P is a rational integer."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        if self.order == 1:
-            return CycNumber(1, (Fraction(1) / self.coeffs[0],))
-        return CycNumber(
-            self.order,
-            _poly_ext_inverse(self.coeffs, cyclotomic_polynomial(self.order)),
-        )
+        n = self.order
+        p = [1] + [0] * (len(self.num) - 1)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                p = _mul(p, _substitute(self.num, n, k), 1, n)
+        norm = _mul(self.num, p, 1, n)[0]
+        return CycNumber(n, tuple(self.den * x for x in p), norm)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -338,10 +356,10 @@ class CycNumber:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        n = math.lcm(self.order, other.order)
-        return self.lift(n).coeffs == other.lift(n).coeffs
+        if self.order != other.order:
+            n = math.lcm(self.order, other.order)
+            self, other = self.lift(n), other.lift(n)
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None  # equality spans orders; identity hashing would lie
 
@@ -350,11 +368,7 @@ class CycNumber:
     def to_complex(self) -> complex:
         """Floating approximation, for display only; never used in checks."""
         z = complex(math.cos(2 * math.pi / self.order), math.sin(2 * math.pi / self.order))
-        total = 0j
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * z ** i
-        return total
+        return sum((float(c) * z ** i for i, c in enumerate(self.coeffs) if c), 0j)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -390,15 +404,15 @@ class CycNumber:
         return CycNumber.make(int(record["order"]), record["coeffs"])
 
 
-_CYC_ZERO = CycNumber(1, (_ZERO,))
-_CYC_ONE = CycNumber(1, (_ONE,))
+_CYC_ZERO = CycNumber(1, (0,))
+_CYC_ONE = CycNumber(1, (1,))
 
 
 def _coerce(value) -> CycNumber | None:
     if isinstance(value, CycNumber):
         return value
     if isinstance(value, (int, Fraction)):
-        return CycNumber(1, (Fraction(value),))
+        return CycNumber(1, (value.numerator,), value.denominator)
     return None
 
 
@@ -409,16 +423,7 @@ def root_of_unity(order: int, k: int) -> CycNumber:
     True
     """
     _check_order(order)
-    return CycNumber(order, _zeta_power(order, k % order))
-
-
-@lru_cache(maxsize=None)
-def _lift_basis(big: int, small: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns: the order-``big`` coordinates of zeta_small^j, j < phi(small)."""
-    cols = []
-    for j in range(euler_phi(small)):
-        cols.append(root_of_unity(small, j).lift(big).coeffs)
-    return tuple(cols)
+    return CycNumber(order, _reduction_rows(order)[k % order])
 
 
 def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:

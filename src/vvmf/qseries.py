@@ -14,7 +14,8 @@ truncation can never turn into a silently wrong claim.
     (12, 1, 12, 8, 96)
 
 Products and quotients take the stored terms at the gcd of the two strides
-to one integer kernel: both operands go to one cyclotomic order N, a common
+to the integer kernel that also multiplies field elements
+(``exactfield._mul``): both operands go to one cyclotomic order N, a common
 denominator and phi(N) integer coordinates per coefficient; q and zeta are
 packed into one big int (Kronecker substitution, 2*phi-1 byte-wide slots per
 term) and multiplied once.  Product coefficient k keeps the order
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .exactfield import CycNumber, _check_order, _coerce, _reduction_rows, euler_phi
+from .exactfield import CycNumber, _check_order, _coerce, _kronecker, _mul, euler_phi
 
 _ZERO = CycNumber.zero()
 
@@ -59,7 +60,7 @@ class QSeries:
     def _make(grid: int, lead: int, valid_to: int, coeffs, step: int = 1) -> QSeries:
         """The normal form of the series with ``coeffs`` at lead + i*step (step
         dividing grid): leading zeros trimmed, stored at the gcd of the grid
-        and the nonzero offsets, on the grid reduced by gcd(lead, stride)."""
+        and the nonzero offsets, on the grid reduced by gcd(lead, stride, valid_to)."""
         coeffs = [_as_cyc(c) for c in coeffs]
         if len(coeffs) != -(-(valid_to - lead) // step):
             raise ValueError("coefficient count must equal valid_to - lead")
@@ -72,9 +73,8 @@ class QSeries:
         lead += first * step
         stride = math.gcd(grid, *(step * (i - first) for i in nonzero))
         terms = coeffs[first::stride // step]
-        g = math.gcd(lead, stride)
+        g = math.gcd(lead, stride, valid_to)
         lead, valid_to, stride = lead // g, valid_to // g, stride // g
-        terms = terms[:-(-(valid_to - lead) // stride)]
         return QSeries(grid // g, lead, valid_to, stride, tuple(c.demoted() for c in terms))
 
     @staticmethod
@@ -396,8 +396,8 @@ def _divide(a: list[CycNumber], b: list[CycNumber], n: int) -> list[CycNumber]:
     xs += [0] * (n * phi - len(xs))
     # Scale by unit/du = 1/b_0 so that the divisor starts with the integer du,
     # then substitute q -> du*q so that it starts with 1 and stays integral.
-    lead = CycNumber(order, tuple(Fraction(v) for v in ys[:phi])).inverse()
-    unit, du = _integer_coords([lead], order)
+    lead = CycNumber(order, tuple(ys[:phi])).inverse()
+    unit, du = list(lead.num), lead.den
     if unit != [1] + [0] * (phi - 1):
         xs, ys = _mul(xs, unit, n, order), _mul(ys, unit, n, order)
     xs = [v * du ** (i // phi) for i, v in enumerate(xs)]
@@ -445,9 +445,9 @@ def _coords(a: list[CycNumber], b: list[CycNumber]):
 
 def _integer_coords(coeffs: list[CycNumber], order: int) -> tuple[list[int], int]:
     """Order-``order`` coordinates, phi per coefficient, times a common denominator."""
-    coords = [c.coeffs if c.order == order else c.lift(order).coeffs for c in coeffs]
-    den = math.lcm(*(x.denominator for co in coords for x in co))
-    return [x.numerator * (den // x.denominator) for co in coords for x in co], den
+    coeffs = [c.lift(order) for c in coeffs]
+    den = math.lcm(*(c.den for c in coeffs))
+    return [x * (den // c.den) for c in coeffs for x in c.num], den
 
 
 def _box(flat: list[int], order: int, dens: list[int]) -> list[CycNumber]:
@@ -455,32 +455,9 @@ def _box(flat: list[int], order: int, dens: list[int]) -> list[CycNumber]:
     phi = euler_phi(order)
     out = [_ZERO] * len(dens)
     for k, den in enumerate(dens):
-        coords = flat[k * phi:(k + 1) * phi]
+        coords = tuple(flat[k * phi:(k + 1) * phi])
         if any(coords):
-            fracs = tuple(Fraction(x, den) if den != 1 else Fraction(x) for x in coords)
-            out[k] = CycNumber(order, fracs).demoted()
-    return out
-
-
-def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
-    """First n coefficients of the product of two flat coordinate lists, with
-    2*phi-1 slots per coefficient; zeta^k for k >= phi is reduced afterwards."""
-    phi = euler_phi(order)
-    if phi == 1:
-        return _kronecker(xs[:n], ys[:n], n)
-    span = 2 * phi - 1
-    pad = [0] * (phi - 1)
-    xs, ys = ([v for i in range(0, min(len(zs), n * phi), phi) for v in zs[i:i + phi] + pad]
-              for zs in (xs, ys))
-    flat = _kronecker(xs, ys, n * span)
-    rows = _reduction_rows(order)[phi:span]
-    out = []
-    for base in range(0, n * span, span):
-        coords = flat[base:base + phi]
-        for c, row in zip(flat[base + phi:base + span], rows):
-            if c:
-                coords = [x + c * r for x, r in zip(coords, row)]
-        out += coords
+            out[k] = CycNumber(order, coords, den).demoted()
     return out
 
 
@@ -494,29 +471,3 @@ def _pair_orders(a: list[CycNumber], b: list[CycNumber], size: int) -> list[int]
                               [int(c.order == n and not c.is_zero()) for c in b], size)
             out = [math.lcm(o, m, n) if hit else o for o, hit in zip(out, hits)]
     return out
-
-
-def _kronecker(xs: list[int], ys: list[int], size: int) -> list[int]:
-    """First ``size`` coefficients of the product of two integer polynomials
-    by one big-int multiply: whole-byte slots hold the bound min(len) * max|x|
-    * max|y| and carry a bias of half their range, so they never borrow."""
-    bound = min(len(xs), len(ys)) * max(map(abs, xs), default=0) * max(map(abs, ys), default=0)
-    if not bound:
-        return [0] * size
-    width = (bound.bit_length() + 8) // 8
-    half, mask = 1 << (8 * width - 1), (1 << (8 * width * size)) - 1
-    packed = (_pack(xs, width) * _pack(ys, width) + _bias(size, width)) & mask
-    data = packed.to_bytes(size * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") - half
-            for i in range(0, size * width, width)]
-
-
-def _pack(values: list[int], width: int) -> int:
-    half = 1 << (8 * width - 1)
-    data = b"".join((v + half).to_bytes(width, "little") for v in values)
-    return int.from_bytes(data, "little") - _bias(len(values), width)
-
-
-def _bias(count: int, width: int) -> int:
-    """Half a slot, in each of ``count`` slots of ``width`` bytes."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")

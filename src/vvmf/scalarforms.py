@@ -137,6 +137,12 @@ def hauptmodul(order: int) -> QSeries:
     return j
 
 
+def gen_form_order(n: int, order: int) -> int:
+    """The order ``gen_form(n, order)`` expands to: two guard terms, plus two
+    per order of the pole of Delta^r_inf when r_inf < 0."""
+    return order + 2 + 2 * max(0, -remainders(n).r_inf)
+
+
 @lru_cache(maxsize=None)
 def gen_form(n: int, order: int) -> QSeries:
     """The weight-2n form E4^r3 * E6^r2 * Delta^r_inf generating the
@@ -146,7 +152,7 @@ def gen_form(n: int, order: int) -> QSeries:
     caller is responsible for requesting enough order for its comparison.
     """
     r = remainders(n)
-    pad = order + 2 + 2 * max(0, -r.r_inf)
+    pad = gen_form_order(n, order)
     out = eisenstein(4, pad) ** r.r3 * eisenstein(6, pad) ** r.r2
     if r.r_inf:
         out = out * discriminant(pad) ** r.r_inf

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vvmf
-from vvmf.cli import main
+from vvmf.cli import MAX_ORDER, main
 from vvmf.detlab import FormVector, generators_to_record
 from vvmf.qseries import QSeries
 from vvmf.replib import direct_sum, linear_character
@@ -71,6 +71,21 @@ def test_series_unknown_name_is_usage_error(capsys):
 
 def test_order_floor_enforced(capsys):
     assert main(["series", "J", "--order", "4"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "E4", "--order", "100000000"],
+    ["verify", "scalar", "--order", "8193"],
+    ["series", "f:-100000", "--order", "8"],
+    ["series", "f:5", "--order", "8191"],
+])
+def test_order_ceiling_is_usage_error(argv, capsys):
+    """Cost is bounded up front: --order, and the order gen_form expands f:<n>
+    to (guard terms and pole included), may not pass MAX_ORDER."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_ORDER) in err
 
 
 def test_analyze_report(rep_file, capsys):
@@ -191,6 +206,20 @@ def test_det_singular_exits_3(tmp_path, sum_rep_file, capsys):
     assert main(["det", str(path), sum_rep_file, "--order", "24"]) == 3
 
 
+def test_det_short_window_on_a_fine_grid(tmp_path, capsys):
+    """1 + O(q^(3/7)) keeps its constant term through the normal form."""
+    one = {"order": 1, "coeffs": ["1"]}
+    zero = {"order": 1, "coeffs": ["0"]}
+    comp = {"grid": 7, "lead": 0, "valid_to": 3, "coeffs": [one, zero, zero]}
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"rep_name": "trivial", "dimension": 1, "generators": [
+        {"weight": 0, "components": [comp]}]}))
+    rep = tmp_path / "trivial.json"
+    rep.write_text(json.dumps(linear_character(0).to_record()))
+    assert main(["det", str(gens), str(rep), "--order", "8"]) == 0
+    assert "K = 1: ok" in capsys.readouterr().out
+
+
 def test_det_misdeclared_weights_fail(tmp_path, sum_rep_file, capsys):
     build = 60
     f1 = FormVector.make(4, [eta_squared(build) ** 2, QSeries.zero(12 * build, 12)])
@@ -267,9 +296,10 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_optimized_run_prints_the_same_report():
+@pytest.mark.parametrize("suite", ["scalar", "det", "kappa"])
+def test_optimized_run_prints_the_same_report(suite):
     env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parent.parent))
-    argv = ["-m", "vvmf.cli", "verify", "scalar", "--order", "8"]
+    argv = ["-m", "vvmf.cli", "verify", suite, "--order", "8"]
     plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                            text=True, timeout=300)
     optimized = subprocess.run([sys.executable, "-O", *argv], env=env,

@@ -1,0 +1,180 @@
+"""Field arithmetic against the Fraction routines it replaced.
+
+``_mul_mod`` (schoolbook product modulo Phi_N over Fractions) and
+``_poly_ext_inverse`` (extended Euclid over Q[x]) below are the routines
+``CycNumber`` multiplied and inverted with before it stored integer
+coordinates over one denominator.  They are kept here unchanged as the
+reference: on seeded random elements every product, sum, difference,
+inverse, lift and reduction must give the same ``coeffs`` and
+``to_record()``, and every result must be in lowest terms.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from vvmf.exactfield import (CycNumber, _poly_divmod, _poly_trim, _reduction_rows,
+                             cyclotomic_polynomial, euler_phi)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+ORDERS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 60]
+MIXED = [(1, 12), (3, 4), (4, 12), (3, 5), (4, 15), (12, 15), (1, 60), (9, 12)]
+
+
+def _mul_mod(order: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    phi = len(a)
+    if phi == 1:
+        return (a[0] * b[0],)
+    prod = [_ZERO] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    rows = _reduction_rows(order)
+    out = list(prod[:phi])
+    for k in range(phi, 2 * phi - 1):
+        c = prod[k]
+        if c:
+            row = rows[k]
+            for j in range(phi):
+                if row[j]:
+                    out[j] += c * row[j]
+    return tuple(out)
+
+
+def _poly_ext_inverse(coeffs: tuple[Fraction, ...], modulus: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Inverse of a nonzero polynomial modulo the (irreducible) modulus.
+
+    Extended Euclid over Q[x]; returns coefficients of length phi.
+    """
+    phi = len(modulus) - 1
+    r0 = [Fraction(c) for c in modulus]
+    r1 = _poly_trim([Fraction(c) for c in coeffs])
+    s0, s1 = [], [_ONE]
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1)
+        # s_next = s0 - q * s1
+        s_next = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    if sj:
+                        s_next[i + j] -= qi * sj
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_trim(s_next)
+    if not r1:
+        raise ZeroDivisionError("element is zero modulo the cyclotomic polynomial")
+    scale = Fraction(1) / r1[0]
+    out = [c * scale for c in s1]
+    out += [_ZERO] * (phi - len(out))
+    return tuple(out[:phi])
+
+
+def ref_lift(order, coeffs, big):
+    """Order-``big`` coordinates of an order-``order`` element, over Fractions."""
+    rows = _reduction_rows(big)
+    out = [_ZERO] * euler_phi(big)
+    for i, c in enumerate(coeffs):
+        for j, r in enumerate(rows[(big // order) * i % big]):
+            out[j] += c * r
+    return tuple(out)
+
+
+def ref_binary(a, b, op):
+    n = math.lcm(a.order, b.order)
+    x, y = ref_lift(a.order, a.coeffs, n), ref_lift(b.order, b.coeffs, n)
+    if op == "mul":
+        return n, _mul_mod(n, x, y)
+    sign = 1 if op == "add" else -1
+    return n, tuple(u + sign * v for u, v in zip(x, y))
+
+
+def ref_inverse(a):
+    if a.order == 1:
+        return (_ONE / a.coeffs[0],)
+    return _poly_ext_inverse(a.coeffs, cyclotomic_polynomial(a.order))
+
+
+def random_element(rng, order, integral=False):
+    def coord():
+        if rng.random() < 0.25:
+            return _ZERO
+        return Fraction(rng.randint(-9, 9), 1 if integral else rng.randint(1, 6))
+    return CycNumber.make(order, [coord() for _ in range(euler_phi(order))])
+
+
+def assert_matches(got, order, coeffs):
+    assert got.order == order
+    assert got.coeffs == tuple(coeffs)
+    assert got.to_record() == {"order": order, "coeffs": [str(c) for c in coeffs]}
+    assert all(type(x) is int for x in got.num) and type(got.den) is int
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+
+
+def pairs():
+    rng = random.Random(4)
+    out = [(n, n) for n in ORDERS] + MIXED + [(m, n) for n, m in MIXED]
+    for n, m in out:
+        for k in range(6):
+            yield rng, n, m, k < 2
+
+
+@pytest.mark.parametrize("op", ["mul", "add", "sub"])
+def test_binary_against_fraction_oracle(op):
+    for rng, n, m, integral in pairs():
+        a, b = random_element(rng, n, integral), random_element(rng, m, integral)
+        got = {"mul": a * b, "add": a + b, "sub": a - b}[op]
+        assert_matches(got, *ref_binary(a, b, op))
+
+
+def test_rational_scaling_against_fraction_oracle():
+    for rng, n, _, integral in pairs():
+        a = random_element(rng, n, integral)
+        f = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        assert_matches(a * f, n, [c * f for c in a.coeffs])
+        assert_matches(3 * a, n, [3 * c for c in a.coeffs])
+
+
+def test_inverse_against_extended_euclid():
+    rng = random.Random(5)
+    for n in ORDERS:
+        for k in range(8):
+            a = random_element(rng, n, integral=k < 2)
+            if a.is_zero():
+                continue
+            inv = a.inverse()
+            assert_matches(inv, n, ref_inverse(a))
+            assert a * inv == 1
+
+
+def test_lift_and_reduce_against_fraction_oracle():
+    rng = random.Random(6)
+    for n in ORDERS:
+        for m in (2, 3, 4):
+            if n * m > 60:
+                continue
+            a = random_element(rng, n)
+            lifted = a.lift(n * m)
+            assert_matches(lifted, n * m, ref_lift(n, a.coeffs, n * m))
+            assert_matches(lifted.reduce_order_to(n), n, a.coeffs)
+
+
+def test_fraction_coordinates_are_normalised():
+    a = CycNumber(4, (Fraction(2, 4), Fraction(-3, 6)))
+    b = CycNumber(4, (-6, 6), -12)
+    assert (a.num, a.den) == (b.num, b.den) == ((1, -1), 2)
+    assert a == b and a.coeffs == (Fraction(1, 2), Fraction(-1, 2))
+    assert CycNumber(3, (0, 0), 7).den == 1
+
+
+def test_dense_inverse_at_the_order_bound():
+    """One dense element of Q(zeta_360), the largest supported field."""
+    rng = random.Random(360)
+    a = CycNumber.make(360, [Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3))
+                             for _ in range(euler_phi(360))])
+    assert a * a.inverse() == 1

@@ -152,6 +152,17 @@ def test_stride_normal_form():
     assert built.to_record() == moved.to_record() and built == moved
 
 
+def test_normal_form_keeps_trusted_terms():
+    """Reducing the grid never floors valid_to: every trusted term survives."""
+    s = QSeries.from_coeffs([1], grid=4, valid_to=1)
+    assert (s.grid, s.lead, s.valid_to) == (4, 0, 1)
+    assert s.valid_exponent() == Fraction(1, 4) and s.coefficient(0) == 1
+    t = QSeries.from_coeffs([1, 0, 0, 2], grid=12, valid_to=4)
+    assert (t.grid, t.lead, t.valid_to, t.step) == (12, 0, 4, 3)
+    assert t.coefficient(Fraction(1, 4)) == 2 and t.valid_exponent() == Fraction(1, 3)
+    assert (t + QSeries.zero(12, 12)).to_record() == t.to_record()
+
+
 def test_conservative_window_on_multiplication():
     a = poly([1, 1], lead=0, valid_to=5)
     b = poly([1], lead=3, valid_to=10)
