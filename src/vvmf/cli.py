@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .detlab import (check_generator_determinant, det_zero,
                      exterior_product, generators_from_record,
@@ -22,7 +23,7 @@ from .errors import PrecisionError, RepValidationError, VvmfError
 from .replib import load_rep, multiplicities, t_is_semisimple, traces
 from .scalarforms import gen_form_order, named_form
 from .suites import SUITE_NAMES, run_suite
-from .weightcalc import enumerate_weight_multisets, weight_profile
+from .weightcalc import WeightProfile, enumerate_weight_multisets
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,18 +81,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        body = text if text.endswith("\n") else text + "\n"
+    def write(fh) -> None:
+        if args.format == "json":
+            # Written in blocks of encoder chunks: a large report is never
+            # held whole, and an unbuffered stdout still sees few writes.
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+            while block := "".join(islice(chunks, 65536)):
+                fh.write(block)
+            fh.write("\n")
+        else:
+            fh.write(text if text.endswith("\n") else text + "\n")
+
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(body)
+                write(fh)
         except OSError as exc:
             raise UsageError(f"{args.output}: cannot write output ({exc.strerror})") from None
     else:
-        sys.stdout.write(body)
+        write(sys.stdout)
 
 
 def _check_order(order: int) -> None:
@@ -145,9 +153,9 @@ def cmd_analyze(args) -> int:
     if args.enumerate_ and args.kmin > args.kmax:
         raise UsageError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     rep = _load(args.rep_path, load_rep)
-    profile = weight_profile(rep)
     mult = multiplicities(rep)
     data = traces(rep)
+    profile = WeightProfile.from_traces(mult, data)
     payload = {
         "schema_version": 1,
         "name": rep.name,
@@ -188,22 +196,27 @@ def cmd_analyze(args) -> int:
         lines.append("warning: rho(T) is not semisimple (logarithmic case); "
                      "the weight constraints may not apply")
     if args.enumerate_:
-        candidates = enumerate_weight_multisets(
-            rep.dimension, rep.epsilon, mult, args.kmin, args.kmax,
-            sum_w=args.sum_w)
-        payload["candidate_multisets"] = [
-            {"epsilon": ws.epsilon, "ks": list(ws.ks),
-             "weights": list(ws.weights)}
-            for ws in candidates
-        ]
-        lines.append(f"candidate weight multisets "
-                     f"(k in [{args.kmin}, {args.kmax}]"
-                     + (f", total weight {args.sum_w}" if args.sum_w is not None else "")
-                     + "):")
-        for ws in candidates:
-            lines.append(f"  k = {list(ws.ks)}  ->  weights {list(ws.weights)}")
-        if not candidates:
-            lines.append("  none")
+        try:
+            candidates = enumerate_weight_multisets(
+                rep.dimension, rep.epsilon, mult, args.kmin, args.kmax,
+                sum_w=args.sum_w)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if args.format == "json":
+            payload["candidate_multisets"] = [
+                {"epsilon": ws.epsilon, "ks": list(ws.ks),
+                 "weights": list(ws.weights)}
+                for ws in candidates
+            ]
+        else:
+            lines.append(f"candidate weight multisets "
+                         f"(k in [{args.kmin}, {args.kmax}]"
+                         + (f", total weight {args.sum_w}" if args.sum_w is not None else "")
+                         + "):")
+            lines.extend(f"  k = {list(ws.ks)}  ->  weights {list(ws.weights)}"
+                         for ws in candidates)
+            if not candidates:
+                lines.append("  none")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

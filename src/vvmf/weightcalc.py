@@ -7,20 +7,41 @@ classes of the normalized weights k_i = (w_i - epsilon)/2 are counted by the
 eigenvalue multiplicities.  This module evaluates those constraints exactly
 in Q(zeta_12), enumerates the candidate weight multisets they allow, and
 expands the graded dimension series a candidate implies.
+
+The counts alpha (k odd), beta1 (k = 1 mod 3) and beta2 (k = 2 mod 3) fix a
+multiset only through its classes of k mod 6: with n_r of the k in class r,
+n1 + n3 + n5 = alpha, n1 + n4 = beta1, n2 + n5 = beta2 and the n_r sum to
+the size d.  At most (beta1 + 1)(beta2 + 1) distributions (n_0, ..., n_5)
+solve this, and the candidates of one distribution are the products over r
+of the size-n_r multisets of the k in range that lie in class r.  So the
+enumeration does work in proportion to what it returns, and the same
+product of binomials counts that work in advance
+(``count_weight_multisets``):
+
+>>> m = Multiplicities(alpha=1, beta1=1, beta2=0)
+>>> count_weight_multisets(2, m, 0, 6)
+3
+>>> [w.ks for w in enumerate_weight_multisets(2, 0, m, 0, 6)]
+[(0, 1), (1, 6), (3, 4)]
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 
 from .exactfield import CycNumber, root_of_unity
-from .replib import Multiplicities, RepSpec, multiplicities, traces
+from .replib import Multiplicities, RepSpec, TraceData, multiplicities, traces
 
 # Evaluation points, all inside Q(zeta_12).
 MINUS_I = root_of_unity(12, 9)
 ZETA3 = root_of_unity(12, 4)
 ZETA3_INV = root_of_unity(12, 8)
+
+# Enumerations that would walk more candidate multisets than this are
+# refused before they start (see ``count_weight_multisets``).
+MAX_CANDIDATES = 500_000
 
 
 @dataclass(frozen=True)
@@ -64,25 +85,29 @@ class WeightProfile:
     at_zeta: CycNumber
     at_zeta_inv: CycNumber
 
+    @classmethod
+    def from_traces(cls, mult: Multiplicities, data: TraceData) -> WeightProfile:
+        """The profile of a representation with these multiplicities and
+        traces: P(-i) = Tr rho(S), and P at a primitive cube root equals the
+        trace of the inverse power of rho(U)."""
+        return cls(
+            count_k_odd=mult.alpha,
+            count_k_mod3_1=mult.beta1,
+            count_k_mod3_2=mult.beta2,
+            at_minus_i=data.s,
+            at_zeta=data.u_inv,
+            at_zeta_inv=data.u,
+        )
+
 
 def weight_profile(rep: RepSpec) -> WeightProfile:
     """Trace-side values of the weight constraints.
 
     The congruence counts come from the evenized representation's eigenvalue
-    multiplicities; the Hilbert values are direct traces: P(-i) = Tr rho(S)
-    and P at a primitive cube root equals the trace of the inverse power of
-    rho(U).
+    multiplicities; the Hilbert values are direct traces
+    (``WeightProfile.from_traces``).
     """
-    mult = multiplicities(rep)
-    data = traces(rep)
-    return WeightProfile(
-        count_k_odd=mult.alpha,
-        count_k_mod3_1=mult.beta1,
-        count_k_mod3_2=mult.beta2,
-        at_minus_i=data.s,
-        at_zeta=data.u_inv,
-        at_zeta_inv=data.u,
-    )
+    return WeightProfile.from_traces(multiplicities(rep), traces(rep))
 
 
 @dataclass(frozen=True)
@@ -131,34 +156,76 @@ def check_hilbert_poly(ws: WeightMultiset, rep: RepSpec) -> HilbertCheck:
     )
 
 
+def _class_counts(d: int, mult: Multiplicities):
+    """Every (n_0, ..., n_5) of non-negative class sizes, n_r the number of
+    k = r mod 6, that sums to d and matches the congruence counts."""
+    for n1 in range(mult.beta1 + 1):
+        n4 = mult.beta1 - n1
+        for n5 in range(mult.beta2 + 1):
+            n2 = mult.beta2 - n5
+            n3 = mult.alpha - n1 - n5
+            n0 = d - n1 - n2 - n3 - n4 - n5
+            if n3 >= 0 and n0 >= 0:
+                yield n0, n1, n2, n3, n4, n5
+
+
+def _class_pools(k_min: int, k_max: int) -> list[range]:
+    """The k in [k_min, k_max] with k = r mod 6, for r = 0..5 (Python's %,
+    so a negative k lies in the class its k % 2 and k % 3 say)."""
+    return [range(k_min + (r - k_min) % 6, k_max + 1, 6) for r in range(6)]
+
+
+def _multichoose(m: int, n: int) -> int:
+    """Number of size-n multisets over m elements."""
+    return math.comb(m + n - 1, n) if m else int(n == 0)
+
+
+def count_weight_multisets(d: int, mult: Multiplicities, k_min: int,
+                           k_max: int) -> int:
+    """Number of size-d multisets over [k_min, k_max] matching the
+    congruence counts, before the total-weight filters: the number of
+    candidates ``enumerate_weight_multisets`` walks."""
+    pools = _class_pools(k_min, k_max)
+    return sum(math.prod(_multichoose(len(pool), n) for pool, n in zip(pools, ns))
+               for ns in _class_counts(d, mult))
+
+
 def enumerate_weight_multisets(d: int, epsilon: int, mult: Multiplicities,
                                k_min: int = 0, k_max: int = 11,
                                sum_w: int | None = None) -> list[WeightMultiset]:
     """All size-d multisets over [k_min, k_max] matching the congruence
-    counts, with non-negative total weight (and the exact total when given).
+    counts, with non-negative total weight (and the exact total when given),
+    in lexicographic order of their sorted k.
 
     The total weight is not determined by trace data, so it is an optional
     input rather than something pretended to be derived.  Infeasible
-    constraints yield an empty list.
+    constraints yield an empty list.  A request with more than
+    ``MAX_CANDIDATES`` candidates is refused with ValueError before any is
+    built.
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     if epsilon not in (0, 1):
         raise ValueError("epsilon must be 0 or 1")
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    count = count_weight_multisets(d, mult, k_min, k_max)
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"{count} candidate weight multisets for k in [{k_min}, {k_max}], "
+            f"above the cap {MAX_CANDIDATES}; narrow the k range")
+    pools = _class_pools(k_min, k_max)
     out = []
-    for ks in combinations_with_replacement(range(k_min, k_max + 1), d):
-        if sum(1 for k in ks if k % 2 == 1) != mult.alpha:
-            continue
-        if sum(1 for k in ks if k % 3 == 1) != mult.beta1:
-            continue
-        if sum(1 for k in ks if k % 3 == 2) != mult.beta2:
-            continue
-        total = sum(2 * k + epsilon for k in ks)
-        if total < 0:
-            continue
-        if sum_w is not None and total != sum_w:
-            continue
-        out.append(WeightMultiset(epsilon, ks))
+    for ns in _class_counts(d, mult):
+        picks = (combinations_with_replacement(pool, n) for pool, n in zip(pools, ns))
+        for pick in product(*picks):
+            ks = tuple(chain.from_iterable(pick))  # WeightMultiset sorts it
+            total = 2 * sum(ks) + d * epsilon
+            if total < 0:
+                continue
+            if sum_w is not None and total != sum_w:
+                continue
+            out.append(WeightMultiset(epsilon, ks))
     out.sort(key=lambda w: w.ks)
     return out
 

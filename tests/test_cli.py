@@ -13,7 +13,7 @@ import vvmf
 from vvmf.cli import MAX_ORDER, main
 from vvmf.detlab import FormVector, generators_to_record
 from vvmf.qseries import QSeries
-from vvmf.replib import direct_sum, linear_character
+from vvmf.replib import RepSpec, direct_sum, linear_character
 from vvmf.scalarforms import eta_squared
 
 
@@ -279,6 +279,60 @@ def test_enumerate_empty_k_range_is_usage_error(rep_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("js, kmax", [((2,), 6 * 500_000 + 1),
+                                       ((0, 0, 0, 2, 4, 6, 8, 10), 30)])
+def test_enumerate_over_the_cap_is_usage_error(js, kmax, tmp_path, capsys):
+    # kappa^2 has one k = 1 mod 6, so [0, 3000001] holds 500,001 candidates;
+    # the d = 8 sum has 679,000 with k <= 30.  Both are refused up front.
+    rep = linear_character(js[0])
+    for j in js[1:]:
+        rep = direct_sum(rep, linear_character(j))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep.to_record()))
+    assert main(["analyze", str(path), "--enumerate", "--kmax", str(kmax)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "above the cap 500000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_negative_kmin(fmt, sum_rep_file, capsys):
+    # kappa^2 + kappa^4 needs one k in each of the classes 1, 2 mod 6 or
+    # 4, 5 mod 6; over [-7, 4] only two such pairs have total weight >= 0.
+    assert main(["analyze", sum_rep_file, "--enumerate", "--kmin", "-7",
+                 "--kmax", "4", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["candidate_multisets"] == [
+            {"epsilon": 0, "ks": [-1, 4], "weights": [-2, 8]},
+            {"epsilon": 0, "ks": [1, 2], "weights": [2, 4]}]
+    else:
+        assert out.endswith("candidate weight multisets (k in [-7, 4]):\n"
+                            "  k = [-1, 4]  ->  weights [-2, 8]\n"
+                            "  k = [1, 2]  ->  weights [2, 4]\n")
+
+
+def test_large_json_report_is_written_whole(rep_file, capsys):
+    # 16,667 candidates encode to several blocks of encoder chunks.
+    assert main(["analyze", rep_file, "--enumerate", "--kmax", "100000",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert len(payload["candidate_multisets"]) == 16_667
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_analyze_computes_the_traces_once(sum_rep_file, monkeypatch, capsys):
+    # One traces() and one multiplicities() call; for an even representation
+    # each evaluates rho(U) once.
+    calls = []
+    u = RepSpec.u
+    monkeypatch.setattr(RepSpec, "u", lambda self: calls.append(1) or u(self))
+    assert main(["analyze", sum_rep_file, "--enumerate"]) == 0
+    assert len(calls) == 2
 
 
 def test_k_range_is_ignored_without_enumerate(rep_file, capsys):
