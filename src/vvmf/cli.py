@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .detlab import (check_generator_determinant, det_zero,
                      exterior_product, generators_from_record,
@@ -80,17 +80,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text: str) -> None:
+# Lines of a text report written per call: a large report is never held
+# whole, and an unbuffered stdout still sees few writes.
+TEXT_BLOCK_LINES = 8192
+
+
+def _emit(args, payload: dict, lines) -> None:
+    """Write the report: ``payload`` as JSON, or the iterable of text
+    ``lines``, each ended by a newline."""
     def write(fh) -> None:
         if args.format == "json":
-            # Written in blocks of encoder chunks: a large report is never
-            # held whole, and an unbuffered stdout still sees few writes.
+            # Written in blocks of encoder chunks, for the same reason.
             chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
             while block := "".join(islice(chunks, 65536)):
                 fh.write(block)
             fh.write("\n")
         else:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            it = iter(lines)
+            while block := list(islice(it, TEXT_BLOCK_LINES)):
+                fh.write("\n".join(block) + "\n")
 
     if args.output:
         try:
@@ -144,7 +152,7 @@ def cmd_series(args) -> int:
         "order": args.order,
         "series": series.to_record(),
     }
-    _emit(args, payload, str(series))
+    _emit(args, payload, [str(series)])
     return EXIT_OK
 
 
@@ -213,11 +221,10 @@ def cmd_analyze(args) -> int:
                          f"(k in [{args.kmin}, {args.kmax}]"
                          + (f", total weight {args.sum_w}" if args.sum_w is not None else "")
                          + "):")
-            lines.extend(f"  k = {list(ws.ks)}  ->  weights {list(ws.weights)}"
-                         for ws in candidates)
-            if not candidates:
-                lines.append("  none")
-    _emit(args, payload, "\n".join(lines))
+            body = (f"  k = {list(ws.ks)}  ->  weights {list(ws.weights)}"
+                    for ws in candidates)
+            lines = chain(lines, body if candidates else ["  none"])
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -233,7 +240,7 @@ def cmd_verify(args) -> int:
     if failed:
         first = failed[0]
         lines.append(f"first counterexample: {first.case_id} {first.detail}")
-    _emit(args, result.to_record(), "\n".join(lines))
+    _emit(args, result.to_record(), lines)
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
@@ -278,7 +285,7 @@ def cmd_det(args) -> int:
         lines.append(f"weight-0 determinant vs multiplicity formula: "
                      f"{'ok' if match else 'MISMATCH'}")
         ok = ok and match
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -120,6 +120,9 @@ def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
     coefficient; zeta^k for k >= phi is reduced afterwards."""
     phi = euler_phi(order)
     if phi == 1:
+        if n == 1:
+            # One rational coefficient: a plain multiply, no packing.
+            return [xs[0] * ys[0] if xs and ys else 0]
         return _kronecker(xs[:n], ys[:n], n)
     span = 2 * phi - 1
     pad = [0] * (phi - 1)

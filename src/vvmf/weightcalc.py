@@ -44,7 +44,7 @@ ZETA3_INV = root_of_unity(12, 8)
 MAX_CANDIDATES = 500_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightMultiset:
     """Candidate fundamental weights, stored as normalized k_i with
     w_i = 2*k_i + epsilon."""

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import vvmf
+from vvmf import cli
 from vvmf.cli import MAX_ORDER, main
 from vvmf.detlab import FormVector, generators_to_record
 from vvmf.qseries import QSeries
@@ -360,3 +361,43 @@ def test_optimized_run_prints_the_same_report(suite):
                                capture_output=True, text=True, timeout=300)
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("grid", [0, -6])
+def test_non_positive_grid_is_usage_error(grid, tmp_path, capsys):
+    one = {"order": 1, "coeffs": ["1"]}
+    comp = {"grid": grid, "lead": 0, "valid_to": 3, "coeffs": [one, one, one]}
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"rep_name": "trivial", "dimension": 1, "generators": [
+        {"weight": 0, "components": [comp]}]}))
+    rep = tmp_path / "trivial.json"
+    rep.write_text(json.dumps(linear_character(0).to_record()))
+    assert main(["det", str(gens), str(rep), "--order", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and str(gens) in err
+    assert err.count("\n") == 1 and "grid" in err and "Traceback" not in err
+
+
+class _CountingWriter:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_text_report_in_blocks_equals_one_string(rep_file, monkeypatch, capsys):
+    # 16,667 candidate lines: several blocks of TEXT_BLOCK_LINES lines each.
+    argv = ["analyze", rep_file, "--enumerate", "--kmax", "100000"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    lines = whole.split("\n")[:-1]
+    assert len(lines) > 2 * cli.TEXT_BLOCK_LINES and lines[-1].startswith("  k = ")
+    for block in (cli.TEXT_BLOCK_LINES, 1000, 7, 1):
+        monkeypatch.setattr(cli, "TEXT_BLOCK_LINES", block)
+        writer = _CountingWriter()
+        monkeypatch.setattr(sys, "stdout", writer)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert "".join(writer.writes) == whole == "\n".join(lines) + "\n"
+        assert len(writer.writes) == -(-len(lines) // block)

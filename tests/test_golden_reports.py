@@ -1,0 +1,71 @@
+"""Reports pinned byte for byte.
+
+The sha256 of each report below was recorded before the series storage
+moved to flat integer coordinates; any change to a report fails here.  The
+det suite at order 96 is compared with the benchmark's reference report.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from vvmf.cli import main
+
+SERIES_SHA256 = {
+    ("E4", "json"): "3972c978f9b92ec9ce87df8d85786a03b4710bb366605724689c5611b00fa8ab",
+    ("E4", "text"): "ed650dd7cad9d8964927d7a61a0fa468386ef15fe5b6caf581458b679374e550",
+    ("E6", "json"): "346db7aa2f9fadac07194cc5b5da874e250e6047edb01fc981dd59834a178b93",
+    ("E6", "text"): "e80faea244a60fe4312035938e7622a9aa768da909ca879d6f3ee0918b605b35",
+    ("Delta", "json"): "2724fd2ce5e4e537da70f73b35021683b5918cc36964a9e76a01b5c64427b724",
+    ("Delta", "text"): "c3635b7282a2d8f9256072be959a8dc589fe42ba35e3d27118397ea697ab6c17",
+    ("J", "json"): "35b158e44ec0c34df0e3ffd1659be3e9224f5a0170d2fa99f49b0fdc1e8e10c4",
+    ("J", "text"): "b9ffbfa5b6c598e588425603f4cdfe1738f7c9d7f7f34d1e6116d58e25490db7",
+    ("delta", "json"): "d396ea317b3d368f848e0c88fbd00e1c18769f7a4bb5816e54b4f5a9364e5c82",
+    ("delta", "text"): "81e0bbff23f7eced354d4eb46f29de894d0a013c3f89f1fffbcc98c32ee9667f",
+    ("f:-8", "json"): "64255e5a3412a875e51965f3bd2c295519e64e5b3feac8211390ec134ef7f115",
+    ("f:-8", "text"): "b1a0cf5ccd3f7642d0648e91a40365b86424aa75d54301f3f6ceb559c55e16ce",
+    ("f:-3", "json"): "e43a7cf0c0a2374fbdd4b7be9ac514cf72dea899294fe2398a1ca90560f44973",
+    ("f:-3", "text"): "31494b052612d979d03bccadcb8e3cec98d64600b9822b4e517cacbc28e4dcaa",
+    ("f:1", "json"): "5756187a9277eb3e9bbb7b1fb1e74a06ff14dcfb1129d04e29fb7a68f07b5cab",
+    ("f:1", "text"): "d2be330096d97fabdbde2166b2b5b48b75c3b0c3a9bf6e8a318a72df6e73f43d",
+    ("f:5", "json"): "9ebd2985f732f4a3e09a5e42ff721e1b904cd396bf18fc6b5a1e99b206c32a83",
+    ("f:5", "text"): "dca12ed360e59af29b56dcf3d6da58b6cc44b6f3d2dbecf479e938b1c30da654",
+}
+
+SUITE_JSON_SHA256 = {
+    "scalar": "cf13a97d46d8bdffedbc5fa804fdc38dcf1282972886569a8d869853687913bb",
+    "det": "2fd0150095a71f6d9fec1b65c780ca9c62c28ed05c6a9569768bd42e238577d6",
+    "kappa": "f728d9c954ca1ad3f1d35df4678376a6aa8fbc6c0b5a47305b781306d9dca547",
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+DET_SUITE_REFERENCE = ROOT / "perfbench" / "reference" / "det-suite.txt"
+
+
+def _report(argv, capsys) -> str:
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name, fmt", sorted(SERIES_SHA256))
+def test_series_report_bytes(name, fmt, capsys):
+    out = _report(["series", name, "--order", "64", "--format", fmt], capsys)
+    assert _sha256(out) == SERIES_SHA256[name, fmt]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_JSON_SHA256))
+def test_suite_json_report_bytes(suite, capsys):
+    out = _report(["verify", suite, "--order", "32", "--format", "json"], capsys)
+    assert _sha256(out) == SUITE_JSON_SHA256[suite]
+
+
+def test_det_suite_matches_the_benchmark_reference(capsys):
+    out = _report(["verify", "det", "--order", "96"], capsys)
+    assert out == DET_SUITE_REFERENCE.read_text(encoding="utf-8")

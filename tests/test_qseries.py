@@ -223,3 +223,13 @@ def test_text_renderings():
     assert str(QSeries.zero(4)) == "0"
     d = poly([1, -2], lead=1, grid=12, valid_to=15)
     assert "q^(1/12)" in str(d)
+
+
+@pytest.mark.parametrize("grid", [0, -1, -12])
+def test_non_positive_grid_is_rejected(grid):
+    with pytest.raises(ValueError, match="grid"):
+        QSeries.from_coeffs([1], grid=grid)
+    with pytest.raises(ValueError, match="grid"):
+        QSeries.zero(5, grid)
+    with pytest.raises(ValueError):
+        QSeries.from_coeffs([1, 2]).regrid(grid)

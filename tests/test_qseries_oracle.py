@@ -6,11 +6,13 @@ Kronecker product and the Newton inverse.  They are kept here unchanged as
 the reference: every seeded case must give the same ``to_record()``.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from vvmf.errors import PrecisionError
 from vvmf.exactfield import CycNumber, euler_phi
 from vvmf.qseries import QSeries
 
@@ -316,3 +318,258 @@ def test_division_is_product_with_inverse():
                 assert got == want, (a, b)
             else:
                 assert got.to_record() == want.to_record(), (a, b)
+
+
+# -- per-term operations against the dense coefficient list --------------------
+#
+# A series is modelled as (grid, lead, valid_to, coeffs) with one CycNumber per
+# grid step, coeffs[i] the coefficient of q^((lead + i)/grid).  ``normal`` is
+# the normal form written out independently of QSeries: coefficients demoted,
+# leading zeros trimmed, the grid divided by the gcd of the grid, the lead,
+# valid_to and the offsets of the nonzero terms; zero is stored on grid 1
+# with its window floored.
+
+_CYC_ZERO, _CYC_ONE = CycNumber.zero(), CycNumber.one()
+
+
+def normal(grid, lead, valid_to, coeffs):
+    coeffs = [c.demoted() for c in coeffs]
+    nonzero = [i for i, c in enumerate(coeffs) if not c.is_zero()]
+    if not nonzero:
+        v = valid_to // grid
+        return 1, v, v, []
+    first = nonzero[0]
+    g = math.gcd(grid, lead + first, valid_to, *(i - first for i in nonzero))
+    return grid // g, (lead + first) // g, valid_to // g, coeffs[first::g]
+
+
+def record(t):
+    grid, lead, valid_to, coeffs = t
+    return {"grid": grid, "lead": lead, "valid_to": valid_to,
+            "coeffs": [c.to_record() for c in coeffs]}
+
+
+def dense(s: QSeries):
+    return s.grid, s.lead, s.valid_to, list(s.coeffs)
+
+
+def d_regrid(t, grid):
+    g, lead, valid_to, coeffs = t
+    m = grid // g
+    out = [_CYC_ZERO] * ((valid_to - lead) * m)
+    out[::m] = coeffs
+    return grid, lead * m, valid_to * m, out
+
+
+def d_mul(x, y):
+    g = math.lcm(x[0], y[0])
+    (_, la, va, ca), (_, lb, vb, cb) = d_regrid(x, g), d_regrid(y, g)
+    valid, lead = min(va + lb, vb + la), la + lb
+    if valid <= lead or not ca or not cb:
+        return normal(g, valid, valid, [])
+    return normal(g, lead, valid, _convolve(ca, cb, valid - lead))
+
+
+def d_inverse(t):
+    grid, lead, valid_to, coeffs = t
+    if not coeffs:
+        raise ZeroDivisionError("zero series")
+    return normal(grid, -lead, valid_to - 2 * lead, _quotient([_CYC_ONE], coeffs, len(coeffs)))
+
+
+def d_pow(t, k):
+    """The same chain of products as QSeries.__pow__, on dense lists."""
+    if k == 0:
+        steps = max(1, t[2] - t[1])
+        return normal(1, 0, steps, [_CYC_ONE] + [_CYC_ZERO] * (steps - 1))
+    base = d_inverse(t) if k < 0 else t
+    k, result = abs(k), None
+    while k:
+        if k & 1:
+            result = base if result is None else d_mul(result, base)
+        k >>= 1
+        if k:
+            base = d_mul(base, base)
+    return result
+
+
+def d_shift(t, num, den):
+    g = math.lcm(t[0], den)
+    _, lead, valid_to, coeffs = d_regrid(t, g)
+    d = num * (g // den)
+    return normal(g, lead + d, valid_to + d, coeffs)
+
+
+def d_str(t):
+    """The text form: nonzero terms in order, unit coefficients folded."""
+    grid, lead, _, coeffs = t
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        e = Fraction(lead + i, grid)
+        q = "" if e == 0 else "q" if e == 1 else f"q^{e}" if e.denominator == 1 else f"q^({e})"
+        if not q:
+            parts.append(str(c) if c.is_rational() else f"({c})")
+        elif c == 1 or c == -1:
+            parts.append(q if c == 1 else f"-{q}")
+        else:
+            parts.append(f"{c.as_rational()}*{q}" if c.is_rational() else f"({c})*{q}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+                              for p in parts[1:])
+
+
+def same(got: QSeries, want, exact_orders=True):
+    """``got`` equals the dense model ``want``: in the wire form, or, when
+    several coefficient orders meet in a quotient, in value and window."""
+    if exact_orders:
+        assert got.to_record() == record(want)
+    else:
+        assert dense(got)[:3] == want[:3] and list(got.coeffs) == want[3]
+
+
+def rand_scalar(rng, kind):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return rng.choice((0, Fraction(0), CycNumber.zero(), CycNumber.make(12, [0] * 4)))
+    if pick == 1:
+        return rng.choice((-3, -1, 1, 2, 7))
+    if pick == 2:
+        return Fraction(rng.choice((-5, 1, 3)), rng.choice((2, 4, 9)))
+    order = rng.choice((1, 3, 4, 6, 12)) if kind == "mixed" else \
+        int(kind[3:]) if kind.startswith("cyc") else rng.choice((1, 3, 12))
+    while True:
+        c = CycNumber.make(order, [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                                   for _ in range(euler_phi(order))])
+        if not c.is_zero():
+            return c
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_product_matches_dense(kind):
+    rng = random.Random(f"scale-{kind}")
+    for _ in range(40):
+        s, c = rand_series(rng, kind), rand_scalar(rng, kind)
+        grid, lead, valid_to, coeffs = dense(s)
+        if c == 0:
+            want = normal(grid, valid_to, valid_to, [])
+        else:
+            want = normal(grid, lead, valid_to, [x * c for x in coeffs])
+        same(s * c, want)
+        same(c * s, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_negation_shift_and_regrid_match_dense(kind):
+    rng = random.Random(f"shift-{kind}")
+    for _ in range(40):
+        s = rand_series(rng, kind)
+        grid, lead, valid_to, coeffs = t = dense(s)
+        same(-s, normal(grid, lead, valid_to, [-x for x in coeffs]))
+        num, den = rng.randint(-7, 7), rng.choice((1, 2, 3, 12))
+        same(s.shift(num, den), d_shift(t, num, den))
+        m = rng.choice((1, 2, 5, 12))
+        # A refined series is kept on the grid it was asked for.
+        assert s.regrid(grid * m).to_record() == record(d_regrid(t, grid * m))
+        if grid > 1:
+            with pytest.raises(ValueError):
+                s.regrid(grid * m + 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_powers_match_dense(kind):
+    rng = random.Random(f"pow-{kind}")
+    for _ in range(12):
+        s = rand_series(rng, kind)
+        if kind in ("cyc60", "mixed") and len(s.coeffs) > 8:
+            continue  # keeps the dense schoolbook chain short
+        for k in range(-3, 4):
+            if k < 0 and s.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    s ** k
+                continue
+            same(s ** k, d_pow(dense(s), k), exact_orders=k >= 0 or not mixed_orders(s))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_coefficients_match_dense(kind):
+    rng = random.Random(f"coeff-{kind}")
+    for _ in range(40):
+        s = rand_series(rng, kind)
+        grid, lead, valid_to, coeffs = dense(s)
+        for k in range(2 * min(lead, 0) - 4, 2 * valid_to + 3):
+            e = Fraction(k, 2 * grid)
+            if e >= Fraction(valid_to, grid):
+                with pytest.raises(PrecisionError):
+                    s.coefficient(e)
+                continue
+            i = k // 2 - lead if k % 2 == 0 else -1
+            want = coeffs[i] if 0 <= i < len(coeffs) else _CYC_ZERO
+            assert s.coefficient(e).to_record() == want.demoted().to_record(), (s, e)
+        if s.is_zero():
+            with pytest.raises(ValueError):
+                s.leading_coefficient()
+        else:
+            assert s.leading_coefficient().to_record() == coeffs[0].to_record()
+            assert not coeffs[0].is_zero()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_equality_and_text_match_dense(kind):
+    rng = random.Random(f"eq-{kind}")
+    one12 = CycNumber.make(12, [1, 0, 0, 0])
+    for _ in range(40):
+        a, b = rand_series(rng, kind), rand_series(rng, kind)
+        assert (a == b) == (dense(a) == dense(b)), (a, b)
+        assert str(a) == d_str(dense(a)), a
+        # Equal values compare equal across coefficient orders and strides.
+        assert a == a * one12 and a == -(-a)
+        assert a == a + QSeries.zero(a.valid_to + 5 * a.grid, a.grid)
+        assert (a == 5) is False
+        if not a.is_zero():
+            bumped = a + QSeries.monomial(1, a.lead, a.grid)
+            assert (bumped == a) is (dense(bumped) == dense(a)) is False
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_record_round_trip_and_construction(kind):
+    rng = random.Random(f"record-{kind}")
+    for _ in range(40):
+        s = rand_series(rng, kind)
+        back = QSeries.from_record(s.to_record())
+        assert back.to_record() == s.to_record() and back == s
+        window = (back.grid, back.lead, back.valid_to, back.step)
+        assert window == (s.grid, s.lead, s.valid_to, s.step)
+        values = [rand_coeff(rng, kind) for _ in range(rng.randint(1, 12))]
+        lead, grid = rng.randint(-4, 4), rng.choice((1, 2, 12))
+        valid_to = lead + len(values) + rng.randint(0, 4)
+        built = QSeries.from_coeffs(values, lead=lead, grid=grid, valid_to=valid_to)
+        padded = [CycNumber.from_rational(v) if not isinstance(v, CycNumber) else v
+                  for v in values] + [_CYC_ZERO] * (valid_to - lead - len(values))
+        same(built, normal(grid, lead, valid_to, padded))
+
+
+def assert_stored_form(s: QSeries):
+    """Integers over one positive denominator in lowest terms, at order 1
+    exactly when every term is rational, per-term orders only where two
+    different non-rational orders sit side by side."""
+    phi = euler_phi(s.order)
+    assert s.den > 0 and len(s.nums) == phi * len(s.terms)
+    if s.is_zero():
+        assert (s.order, s.den, s.orders) == (1, 1, None)
+        return
+    assert math.gcd(s.den, *s.nums) == 1 and any(s.nums[:phi])
+    kinds = {c.order for c in s.terms} - {1}
+    assert (s.order == 1) == (not kinds)
+    assert (s.orders is None) == (kinds <= {s.order})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_results_are_stored_in_lowest_terms(kind):
+    rng = random.Random(f"stored-{kind}")
+    for _ in range(30):
+        a, b, c = rand_series(rng, kind), divisor(rng, kind), rand_scalar(rng, kind)
+        for s in (a, b, a + b, a - b, a * b, a / b, b.inverse(), a * c, -a, a.shift(1, 12)):
+            assert_stored_form(s)
