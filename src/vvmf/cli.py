@@ -5,8 +5,8 @@ representation file and report its weight constraints), ``verify`` (run a
 named identity suite) and ``det`` (check a generators file against its
 representation).
 
-Exit codes: 0 pass, 1 check or validation failure, 2 usage error,
-3 precision/singularity (raise the order and retry).
+Exit codes: 0 pass, 1 check or validation failure, 2 usage error or a
+number too long to print, 3 precision/singularity (raise the order and retry).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import chain, islice
 from .detlab import (check_generator_determinant, det_zero,
                      exterior_product, generators_from_record,
                      weak_generating_set)
-from .errors import PrecisionError, RepValidationError, VvmfError
+from .errors import PrecisionError, RepValidationError, UsageError, VvmfError
 from .replib import load_rep, multiplicities, t_is_semisimple, traces
 from .scalarforms import gen_form_order, named_form
 from .suites import SUITE_NAMES, run_suite
@@ -115,10 +115,6 @@ def _check_order(order: int) -> None:
         raise UsageError(f"--order must be at least {MIN_ORDER}, got {order}")
     if order > MAX_ORDER:
         raise UsageError(f"--order must be at most {MAX_ORDER}, got {order}")
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load(path: str, parse):

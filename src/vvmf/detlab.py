@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, PrecisionError
+from .errors import PrecisionError
 from .exactfield import CycNumber
 from .qseries import QSeries
 from .replib import RepSpec, multiplicities, twist
-from .scalarforms import eisenstein, eta_squared, gen_form
+from .scalarforms import e4_e6_delta, gen_form
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,7 @@ def det_zero(rep: RepSpec, order: int) -> QSeries:
     """
     if rep.epsilon != 0:
         raise ValueError("the determinant base form needs an even representation")
-    mult = multiplicities(rep)
-    b12 = mult.beta1 + 2 * mult.beta2
-    pad = 2 + (4 * b12 + 6 * mult.alpha) // 12
-    b = order + pad
-    delta = eta_squared(b)
-    out = QSeries.constant(1, b)
-    if b12:
-        out = out * (eisenstein(4, b) / delta ** 4) ** b12
-    if mult.alpha:
-        out = out * (eisenstein(6, b) / delta ** 6) ** mult.alpha
-    if out.valid_exponent() < order:
-        raise ConsistencyError(f"det_zero window ends at q^{out.valid_exponent()} < q^{order}")
-    return out
+    return det_n(rep, 0, order)
 
 
 def det_n(rep: RepSpec, n: int, order: int) -> QSeries:
@@ -147,13 +135,9 @@ def det_n(rep: RepSpec, n: int, order: int) -> QSeries:
             f"weight class {n} does not match the parity {rep.epsilon} "
             "of the representation"
         )
-    shift = n * rep.dimension
-    pad = 2 + abs(shift) // 12
-    base = det_zero(twist(rep, -n), order + pad)
-    out = base * eta_squared(order + pad) ** shift if shift else base
-    if out.valid_exponent() < order:
-        raise ConsistencyError(f"det_n window ends at q^{out.valid_exponent()} < q^{order}")
-    return out
+    mult = multiplicities(twist(rep, -n))
+    a = mult.beta1 + 2 * mult.beta2
+    return e4_e6_delta(a, mult.alpha, n * rep.dimension - 4 * a - 6 * mult.alpha, order)
 
 
 def weak_generating_set(vectors, ks, n: int, order: int) -> list[FormVector]:
@@ -211,11 +195,8 @@ def check_generator_determinant(vectors, weights, order: int) -> GeneratorDeterm
         raise ValueError("need one declared weight per generator")
     ext = exterior_product(vectors)
     total = sum(weights)
-    pad = 2 + abs(total) // 12
-    target = eta_squared(order + pad) ** total if total else \
-        QSeries.constant(1, order + pad)
     return GeneratorDeterminantReport(
-        determinant_matches=ext.normalized.agrees_with(target),
+        determinant_matches=ext.normalized.agrees_with(e4_e6_delta(0, 0, total, order)),
         weight_sum=total,
         weight_sum_nonneg=total >= 0,
         leading_coefficient=ext.leading_coefficient,

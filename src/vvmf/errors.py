@@ -9,6 +9,10 @@ class ConsistencyError(VvmfError):
     """An internal cross-check failed; indicates an engine bug, not bad input."""
 
 
+class UsageError(VvmfError):
+    """A refused request (exit 2): bad arguments or files, a number too long to write."""
+
+
 class PrecisionError(VvmfError):
     """A result is indistinguishable from zero (or a comparison window is
     empty) at the available truncation order.  Raising instead of guessing

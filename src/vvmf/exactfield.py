@@ -20,9 +20,12 @@ pure, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import UsageError
 
 # Orders above this are rejected rather than allowed to degrade performance
 # silently; everything in this package lives in Q(zeta_12) and subfields.
@@ -381,7 +384,7 @@ class CycNumber:
             if not c:
                 continue
             if i == 0:
-                term = str(c)
+                term = format_rational(c)
             else:
                 gen = f"z{self.order}" if i == 1 else f"z{self.order}^{i}"
                 if c == 1:
@@ -389,7 +392,7 @@ class CycNumber:
                 elif c == -1:
                     term = f"-{gen}"
                 else:
-                    term = f"{c}*{gen}"
+                    term = f"{format_rational(c)}*{gen}"
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:
@@ -471,4 +474,8 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # only from Python's limit on integer-to-string conversion
+        raise UsageError(f"cannot write a number of more than {sys.get_int_max_str_digits()} "
+                         "digits, Python's limit for integer-to-string conversion") from None

@@ -83,9 +83,9 @@ class QSeries:
                        tuple(nums), orders)
 
     @staticmethod
-    def _make(grid: int, lead: int, valid_to: int, coeffs, step: int = 1) -> QSeries:
-        """Normal form of coefficient values (int, Fraction, CycNumber) at lead + i*step."""
-        return QSeries._normal(grid, lead, valid_to, step, *_flatten(coeffs))
+    def _make(grid: int, lead: int, valid_to: int, coeffs) -> QSeries:
+        """Normal form of dense coefficient values (int, Fraction, CycNumber) from lead."""
+        return QSeries._normal(grid, lead, valid_to, 1, *_flatten(coeffs))
 
     @staticmethod
     def from_coeffs(coeffs, lead: int = 0, grid: int = 1, valid_to: int | None = None) -> QSeries:
@@ -336,7 +336,7 @@ class QSeries:
             elif c == 1 or c == -1:
                 parts.append(q if c == 1 else f"-{q}")
             else:
-                parts.append(f"{c.as_rational()}*{q}" if c.is_rational() else f"({c})*{q}")
+                parts.append(f"{c}*{q}" if c.is_rational() else f"({c})*{q}")
         return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
                                   for t in parts[1:]) if parts else "0"
 

@@ -125,6 +125,17 @@ def eta_squared(order: int) -> QSeries:
     return sq.regrid(12).shift(1, 12)
 
 
+def e4_e6_delta(a: int, b: int, k: int, order: int) -> QSeries:
+    """E4^a * E6^b * delta^k, the form of every determinant the package
+    checks.  Each factor is built to two guard terms past the order plus one
+    per twelve powers of delta, which covers the pole of delta^k."""
+    pad = order + 2 + abs(k) // 12
+    out = eta_squared(pad) ** k * eisenstein(4, pad) ** a * eisenstein(6, pad) ** b
+    if out.valid_exponent() < order:
+        raise ConsistencyError(f"e4_e6_delta window ends at q^{out.valid_exponent()} < q^{order}")
+    return out
+
+
 @lru_cache(maxsize=None)
 def hauptmodul(order: int) -> QSeries:
     """J = E4^3/Delta - 744, the weight-0 generator with lead q^-1."""

@@ -1,0 +1,107 @@
+"""Every subcommand ends in a documented exit code, never a raw traceback.
+
+Each run goes through ``cli.main`` in-process, at the ``--order 8`` floor
+and at legal extremes: a negative ``--kmin``, ``f:-0``, a negative
+``--seed``, an ``--output`` file, and ``det`` reports whose numbers pass
+Python's limit on integer-to-string conversion (4,300 digits by default).
+An exception escaping ``main`` would be a traceback, so it fails the test.
+"""
+
+import json
+import sys
+
+import pytest
+
+from vvmf.cli import main
+from vvmf.detlab import FormVector, generators_to_record
+from vvmf.errors import UsageError
+from vvmf.exactfield import CycNumber
+from vvmf.qseries import QSeries
+from vvmf.replib import direct_sum, linear_character
+from vvmf.scalarforms import FORM_NAMES, eta_squared
+from vvmf.suites import SUITE_NAMES
+
+# 2,500 digits: each loads, but a product of two has 5,000.
+BIG = 10 ** 2499 + 7
+
+
+def _write(path, record):
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Input files by name, and ``out`` for report files."""
+    trivial2 = direct_sum(linear_character(0), linear_character(0))
+    big, zero = QSeries.constant(BIG, 60), QSeries.zero(60)
+    build = 60
+    d2, d4 = eta_squared(build) ** 2, eta_squared(build) ** 4
+    zero12 = QSeries.zero(12 * build, 12)
+    return {
+        "rep": _write(tmp_path / "kappa2.json", linear_character(2).to_record()),
+        "sum_rep": _write(tmp_path / "k2k4.json",
+                          direct_sum(linear_character(2), linear_character(4)).to_record()),
+        "gens": _write(tmp_path / "gens.json", generators_to_record("k2k4", [
+            FormVector.make(2, [d2, zero12]), FormVector.make(4, [zero12, d4])])),
+        "one_rep": _write(tmp_path / "trivial.json", linear_character(0).to_record()),
+        "one_big": _write(tmp_path / "one-big.json", generators_to_record(
+            "trivial", [FormVector.make(0, [big])])),
+        "big_rep": _write(tmp_path / "trivial2.json", trivial2.to_record()),
+        "big_gens": _write(tmp_path / "two-big.json", generators_to_record("trivial2", [
+            FormVector.make(0, [big, zero]), FormVector.make(0, [zero, big])])),
+        "out": str(tmp_path / "report.out"),
+    }
+
+
+SWEEP = [
+    *(["series", name] for name in (*FORM_NAMES, "f:-0", "f:1", "f:-8")),
+    ["series", "f:-3", "--format", "json", "--output", "{out}"],
+    ["analyze", "{rep}"],
+    ["analyze", "{sum_rep}", "--enumerate"],
+    ["analyze", "{sum_rep}", "--enumerate", "--kmin", "-5", "--format", "json"],
+    ["analyze", "{rep}", "--enumerate", "--sum", "4", "--output", "{out}"],
+    *(["verify", suite] for suite in SUITE_NAMES),
+    *(["verify", suite, "--seed", "-5", "--format", "json"] for suite in SUITE_NAMES),
+    ["det", "{gens}", "{sum_rep}"],
+    ["det", "{gens}", "{sum_rep}", "--format", "json", "--output", "{out}"],
+    ["det", "{one_big}", "{one_rep}"],
+    ["det", "{big_gens}", "{big_rep}"],
+    ["det", "{big_gens}", "{big_rep}", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
+def test_no_raw_traceback(argv, files, capsys):
+    code = main([a.format(**files) for a in argv] + ["--order", "8"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_over_the_digit_limit_is_usage_error(fmt, files, capsys):
+    argv = ["det", files["big_gens"], files["big_rep"], "--order", "8", "--format", fmt]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+def test_numbers_under_the_digit_limit_are_written(files, capsys):
+    argv = ["det", files["one_big"], files["one_rep"], "--order", "8", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["leading_coefficient"] == {"order": 1, "coeffs": [str(BIG)]}
+
+
+def test_text_and_wire_forms_refuse_numbers_over_the_limit():
+    huge = 3 ** 13400  # 6,394 digits
+    for value in (CycNumber(1, (huge,)), CycNumber(3, (1, 1), huge),
+                  QSeries.from_coeffs([1, huge]),
+                  QSeries.from_coeffs([1, CycNumber(4, (0, huge))])):
+        for form in (str, lambda v: v.to_record()):
+            with pytest.raises(UsageError, match="integer-to-string"):
+                form(value)
