@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain, islice
 
@@ -21,7 +22,7 @@ from .detlab import (check_generator_determinant, det_zero,
                      weak_generating_set)
 from .errors import PrecisionError, RepValidationError, UsageError, VvmfError
 from .replib import load_rep, multiplicities, t_is_semisimple, traces
-from .scalarforms import gen_form_order, named_form
+from .scalarforms import e4_e6_delta_order, gen_form_order, named_form
 from .suites import SUITE_NAMES, run_suite
 from .weightcalc import WeightProfile, enumerate_weight_multisets
 
@@ -107,7 +108,18 @@ def _emit(args, payload: dict, lines) -> None:
         except OSError as exc:
             raise UsageError(f"{args.output}: cannot write output ({exc.strerror})") from None
     else:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            # Flushed here, so that a closed pipe shows here and not at exit;
+            # a stand-in stdout need only have write().
+            getattr(sys.stdout, "flush", lambda: None)()
+        except BrokenPipeError:
+            # The reader closed stdout.  Point its descriptor at devnull, so
+            # that the flush at interpreter exit has nothing left to fail on.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError("stdout was closed before the report was written") from None
 
 
 def _check_order(order: int) -> None:
@@ -240,6 +252,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
+def _check_det_size(weights, epsilon: int, order: int) -> None:
+    """Refuse, before any work, declared weights whose scalar forms would
+    expand past MAX_ORDER: the target delta^(sum of weights) and, for an even
+    representation, the f_(-k) that push each generator to weight 0."""
+    if e4_e6_delta_order(sum(weights), order) > MAX_ORDER:
+        # The sum itself may be too long to print.
+        bound = 12 * (MAX_ORDER - e4_e6_delta_order(0, order)) + 11
+        raise UsageError(f"the generator weights sum to more than {bound} in absolute "
+                         f"value, so delta^sum expands past order {MAX_ORDER}")
+    for w in weights if epsilon == 0 else ():
+        need = gen_form_order(-(w // 2), order)
+        if need > MAX_ORDER:
+            raise UsageError(f"generator weight {w}: f:{-(w // 2)} expands to order {need}, "
+                             f"above the ceiling {MAX_ORDER}")
+
+
 def cmd_det(args) -> int:
     _check_order(args.order)
     rep = _load(args.rep_path, load_rep)
@@ -249,6 +277,7 @@ def cmd_det(args) -> int:
             f"generators file has {len(vectors)} vectors but the "
             f"representation has dimension {rep.dimension}")
     weights = [v.weight for v in vectors]
+    _check_det_size(weights, rep.epsilon, args.order)
     report = check_generator_determinant(vectors, weights, args.order)
     payload = {
         "schema_version": 1,

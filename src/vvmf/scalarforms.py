@@ -63,21 +63,51 @@ def divisor_power_sum(n: int, k: int) -> int:
     return total
 
 
+def _pentagonal(order: int) -> list[tuple[int, int]]:
+    """The nonzero terms (n, +-1) of prod_{n>=1} (1 - q^n) below q^order, in
+    increasing n: Euler's pentagonal numbers k(3k -+ 1)/2, of sign (-1)^k."""
+    out = [(0, 1)] if order > 0 else []
+    k = 1
+    while (e := k * (3 * k - 1) // 2) < order:
+        sign = -1 if k % 2 else 1
+        out += [(e, sign)] + ([(e + k, sign)] if e + k < order else [])
+        k += 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def _euler_product(order: int) -> QSeries:
     """prod_{n>=1} (1 - q^n) via the pentagonal-number expansion."""
     coeffs = [0] * order
-    k = 0
-    while True:
-        hit = False
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e < order:
-                coeffs[e] = 1 if k % 2 == 0 else -1
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
+    for e, sign in _pentagonal(order):
+        coeffs[e] = sign
     return QSeries.from_coeffs(coeffs, valid_to=order)
+
+
+def _euler_power(s: int, order: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n)^s below q^order >= 1, for any integer s, by J. C. P.
+    Miller's power recurrence over the pentagonal terms p_j of the product:
+    n*g_n = sum_j ((s+1)*j - n)*p_j*g_(n-j) = (s+1)*A_n - n*B_n with
+    A_n = sum_j j*p_j*g_(n-j) and B_n = sum_j p_j*g_(n-j).  Every p_j is +-1,
+    so that is O(order^1.5) small-by-big steps, and the division is exact."""
+    if s == 0:
+        return QSeries.constant(1, order)
+    terms = _pentagonal(order)[1:]
+    g = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        a = b = 0
+        for j, sign in terms:
+            if j > n:
+                break
+            x = g[n - j]
+            if sign > 0:
+                a += j * x
+                b += x
+            else:
+                a -= j * x
+                b -= x
+        g[n] = ((s + 1) * a - n * b) // n
+    return QSeries.from_coeffs(g, valid_to=order)
 
 
 @lru_cache(maxsize=None)
@@ -125,12 +155,23 @@ def eta_squared(order: int) -> QSeries:
     return sq.regrid(12).shift(1, 12)
 
 
+def e4_e6_delta_order(k: int, order: int) -> int:
+    """The order ``e4_e6_delta(a, b, k, order)`` expands each factor to: two
+    guard terms, plus one per twelve powers of delta, which covers the pole
+    of delta^k."""
+    return order + 2 + abs(k) // 12
+
+
 def e4_e6_delta(a: int, b: int, k: int, order: int) -> QSeries:
     """E4^a * E6^b * delta^k, the form of every determinant the package
-    checks.  Each factor is built to two guard terms past the order plus one
-    per twelve powers of delta, which covers the pole of delta^k."""
-    pad = order + 2 + abs(k) // 12
-    out = eta_squared(pad) ** k * eisenstein(4, pad) ** a * eisenstein(6, pad) ** b
+    checks, with delta^k = q^(k/12) * prod (1-q^n)^(2k) from the power
+    recurrence; each factor is built to ``e4_e6_delta_order(k, order)``."""
+    pad = e4_e6_delta_order(k, order)
+    out = _euler_power(2 * k, pad).regrid(12).shift(k, 12)
+    if a:
+        out = out * eisenstein(4, pad) ** a
+    if b:
+        out = out * eisenstein(6, pad) ** b
     if out.valid_exponent() < order:
         raise ConsistencyError(f"e4_e6_delta window ends at q^{out.valid_exponent()} < q^{order}")
     return out
@@ -157,16 +198,17 @@ def gen_form_order(n: int, order: int) -> int:
 @lru_cache(maxsize=None)
 def gen_form(n: int, order: int) -> QSeries:
     """The weight-2n form E4^r3 * E6^r2 * Delta^r_inf generating the
-    weakly holomorphic forms of weight 2n over the weight-0 ring.
+    weakly holomorphic forms of weight 2n over the weight-0 ring, with
+    Delta^r_inf = q^r_inf * prod (1-q^n)^(24*r_inf) from the power recurrence.
 
     Holomorphic for n > 1; for n <= 1 the lead exponent is r_inf < 0 and the
     caller is responsible for requesting enough order for its comparison.
     """
     r = remainders(n)
     pad = gen_form_order(n, order)
-    out = eisenstein(4, pad) ** r.r3 * eisenstein(6, pad) ** r.r2
-    if r.r_inf:
-        out = out * discriminant(pad) ** r.r_inf
+    out = _euler_power(24 * r.r_inf, pad).shift(r.r_inf)  # Delta^r_inf
+    if r.r3 or r.r2:
+        out = eisenstein(4, pad) ** r.r3 * eisenstein(6, pad) ** r.r2 * out
     if out.valid_exponent() < order:
         raise ConsistencyError(f"gen_form window ends at q^{out.valid_exponent()} < q^{order}")
     return out

@@ -2,12 +2,14 @@
 
 Each run goes through ``cli.main`` in-process, at the ``--order 8`` floor
 and at legal extremes: a negative ``--kmin``, ``f:-0``, a negative
-``--seed``, an ``--output`` file, and ``det`` reports whose numbers pass
-Python's limit on integer-to-string conversion (4,300 digits by default).
+``--seed``, an ``--output`` file, ``det`` reports whose numbers pass
+Python's limit on integer-to-string conversion (4,300 digits by default),
+the largest poles, absurd declared weights and a closed stdout.
 An exception escaping ``main`` would be a traceback, so it fails the test.
 """
 
 import json
+import os
 import sys
 
 import pytest
@@ -105,3 +107,66 @@ def test_text_and_wire_forms_refuse_numbers_over_the_limit():
         for form in (str, lambda v: v.to_record()):
             with pytest.raises(UsageError, match="integer-to-string"):
                 form(value)
+
+
+def test_largest_pole_over_the_digit_limit_is_usage_error(capsys):
+    # f:-12270 expands to order 4,100; its largest coefficient has 6,390 digits.
+    assert main(["series", "f:-12270", "--order", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.fixture
+def huge_weights(tmp_path):
+    """Generators files whose declared weights are far past any order:
+    one of weight 10**30, and a pair of weights +-10**30 that sums to 0."""
+    one, zero = QSeries.constant(1, 60), QSeries.zero(60)
+    trivial2 = direct_sum(linear_character(0), linear_character(0))
+    return {
+        "one": (_write(tmp_path / "one.json", generators_to_record(
+            "trivial", [FormVector.make(10 ** 30, [one])])),
+            _write(tmp_path / "trivial.json", linear_character(0).to_record())),
+        "pair": (_write(tmp_path / "pair.json", generators_to_record("trivial2", [
+            FormVector.make(10 ** 30, [one, zero]), FormVector.make(-10 ** 30, [zero, one])])),
+            _write(tmp_path / "trivial2.json", trivial2.to_record())),
+    }
+
+
+@pytest.mark.parametrize("case,message", [("one", "weights sum to more than 98195"),
+                                          ("pair", "f:-5" + "0" * 29 + " expands to order")])
+def test_det_refuses_weights_past_the_ceiling(case, message, huge_weights, capsys):
+    gens, rep = huge_weights[case]
+    assert main(["det", gens, rep, "--order", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_closed_stdout_is_usage_error(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        """A stdout whose reader has gone; its descriptor is a scratch file."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fh.fileno()
+
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh))
+        assert main(["series", "J", "--order", "8", "--format", "json"]) == 2
+        # The descriptor now points at devnull: a later flush cannot fail.
+        os.write(fh.fileno(), b"dropped")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "stdout was closed" in err
+    assert (tmp_path / "stdout").read_bytes() == b""
