@@ -86,14 +86,45 @@ def build_parser() -> argparse.ArgumentParser:
 TEXT_BLOCK_LINES = 8192
 
 
+def _json_blocks(payload: dict):
+    """``payload`` as ``json.JSONEncoder(sort_keys=True, indent=2)`` encodes
+    it, in blocks.  That encoder has no C path with an indent, so a non-empty
+    ``candidate_multisets`` list is laid out here by hand, as it would lay it
+    out, between the encoder's text for the rest of the payload."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    rows = payload.get("candidate_multisets")
+    if not rows:
+        # Blocks of encoder chunks, for the same reason as text blocks.
+        chunks = encoder.iterencode(payload)
+        while block := "".join(islice(chunks, 65536)):
+            yield block
+        return
+    key = '"candidate_multisets": '
+    head, _, tail = encoder.encode({**payload, "candidate_multisets": None}) \
+        .partition(key + "null")
+    yield head + key + "[\n"
+    it, sep = iter(rows), ""
+    while block := list(islice(it, TEXT_BLOCK_LINES)):
+        yield sep + ",\n".join(map(_candidate_json, block))
+        sep = ",\n"
+    yield "\n  ]" + tail
+
+
+def _candidate_json(row: dict) -> str:
+    """One ``candidate_multisets`` entry, {"epsilon": int, "ks": [int],
+    "weights": [int]}, in the indent=2 layout at depth 2."""
+    ks, weights = ("[\n        " + ",\n        ".join(map(str, v)) + "\n      ]" if v else "[]"
+                   for v in (row["ks"], row["weights"]))
+    return (f'    {{\n      "epsilon": {row["epsilon"]},\n      "ks": {ks},\n'
+            f'      "weights": {weights}\n    }}')
+
+
 def _emit(args, payload: dict, lines) -> None:
     """Write the report: ``payload`` as JSON, or the iterable of text
     ``lines``, each ended by a newline."""
     def write(fh) -> None:
         if args.format == "json":
-            # Written in blocks of encoder chunks, for the same reason.
-            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-            while block := "".join(islice(chunks, 65536)):
+            for block in _json_blocks(payload):
                 fh.write(block)
             fh.write("\n")
         else:

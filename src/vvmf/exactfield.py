@@ -24,6 +24,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 
 from .errors import UsageError
 
@@ -126,7 +128,7 @@ def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
         if n == 1:
             # One rational coefficient: a plain multiply, no packing.
             return [xs[0] * ys[0] if xs and ys else 0]
-        return _kronecker(xs[:n], ys[:n], n)
+        return _kronecker(xs, ys, n)
     span = 2 * phi - 1
     pad = [0] * (phi - 1)
     xs, ys = ([v for i in range(0, min(len(zs), n * phi), phi) for v in [*zs[i:i + phi], *pad]]
@@ -143,14 +145,40 @@ def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
     return out
 
 
-def _kronecker(xs: list[int], ys: list[int], size: int) -> list[int]:
-    """First ``size`` coefficients of the product of two integer polynomials
-    by one big-int multiply: whole-byte slots hold the bound min(len) * max|x|
-    * max|y| and carry a bias of half their range, so they never borrow."""
+# From this many slots up, _slot_width also bounds the products pair by
+# pair; below it that costs more than the narrower slots save.
+_PAIRWISE_SLOTS = 128
+
+
+def _slot_width(xs: list[int], ys: list[int], size: int) -> int:
+    """Bytes per Kronecker slot for the first ``size`` coefficients of xs*ys
+    (neither list longer than ``size``), 0 when they are all zero: room for
+    a bound on those coefficients and a sign bit.  The bound is min(len) *
+    max|x| * max|y|; from _PAIRWISE_SLOTS slots up, when smaller, it is
+    min(len) * 2^t, t the largest bitlen(x_i) + bitlen(y_j) over the pairs i
+    + j < size, as the pairs from ``size`` up are masked away; 2^t is at
+    least every entry, so each still fits its slot."""
     bound = min(len(xs), len(ys)) * max(map(abs, xs), default=0) * max(map(abs, ys), default=0)
     if not bound:
+        return 0
+    if size >= _PAIRWISE_SLOTS:
+        # by[j] = max bitlen(y_j') over j' <= j, so x_i meets at most by[size-1-i].
+        by = list(accumulate(map(int.bit_length, ys), max))
+        by += [by[-1]] * (size - len(by))
+        top = max(map(add, map(int.bit_length, xs), reversed(by)))
+        bound = min(bound, min(len(xs), len(ys)) << top)
+    return (bound.bit_length() + 8) // 8
+
+
+def _kronecker(xs: list[int], ys: list[int], size: int) -> list[int]:
+    """First ``size`` coefficients of the product of two integer polynomials
+    by one big-int multiply: whole-byte slots of ``_slot_width`` carry a bias
+    of half their range, so they never borrow, and the mask drops every slot
+    from ``size`` up, whatever it holds."""
+    xs, ys = xs[:size], ys[:size]
+    width = _slot_width(xs, ys, size)
+    if not width:
         return [0] * size
-    width = (bound.bit_length() + 8) // 8
     half, mask = 1 << (8 * width - 1), (1 << (8 * width * size)) - 1
     packed = (_pack(xs, width) * _pack(ys, width) + _bias(size, width)) & mask
     data = packed.to_bytes(size * width, "little")

@@ -215,19 +215,21 @@ def gen_form(n: int, order: int) -> QSeries:
 
 
 def verify_gen_product(n: int, m: int, order: int) -> bool:
-    """Check f_n * f_m / f_(n+m) = (J+744)^s3 * (J-984)^s2 exactly.
+    """Check f_n * f_m / f_(n+m) = (J+744)^s3 * (J-984)^s2 exactly, without
+    dividing: compare f_n * f_m with f_(n+m) * (J+744)^s3 * (J-984)^s2.
+    f_(n+m) has a nonzero lead, so the two agree exactly when the quotient
+    identity holds, and their common window holds the quotient's, shifted
+    by that lead.
 
     s3 and s2 are the remainder carries of (n, m) mod 3 and mod 2.  Raises
     PrecisionError when the order leaves no comparison window.
     """
-    lhs = gen_form(n, order) * gen_form(m, order) / gen_form(n + m, order)
-    s3 = remainder_carry(n, m, 3)
-    s2 = remainder_carry(n, m, 2)
-    rhs = QSeries.constant(1, order)
+    lhs = gen_form(n, order) * gen_form(m, order)
+    rhs = gen_form(n + m, order)
     j = hauptmodul(order)
-    if s3:
+    if remainder_carry(n, m, 3):
         rhs = rhs * (j + 744)
-    if s2:
+    if remainder_carry(n, m, 2):
         rhs = rhs * (j - 984)
     return lhs.agrees_with(rhs)
 

@@ -179,9 +179,9 @@ def _sums_suite(order: int, seed: int) -> list[CaseResult]:
         total = Multiplicities(0, 0, 0)
         for part in parts:
             total = total + multiplicities(part)
-        additive = multiplicities(rep) == total
-        found = ws in enumerate_weight_multisets(
-            d, eps, multiplicities(rep), 0, 5, sum_w=ws.weight_sum())
+        mult = multiplicities(rep)
+        additive = mult == total
+        found = ws in enumerate_weight_multisets(d, eps, mult, 0, 5, sum_w=ws.weight_sum())
         cases.append(_case(
             f"case-{i:03d}", check.passed and additive and found,
             f"js={js}: hilbert={check.passed}, additive={additive}, "

@@ -326,6 +326,35 @@ def test_large_json_report_is_written_whole(rep_file, capsys):
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("extra, count", [(["--kmax", "40"], 490), (["--kmax", "0"], 0),
+                                          (["--kmax", "40", "--sum", "34"], 7)],
+                         ids=["candidates", "none", "sum"])
+def test_candidate_json_is_the_encoders_layout(tmp_path, monkeypatch, capsys, extra, count):
+    # The hand-laid candidate list against the encoder's own text for the
+    # payload _emit was given.
+    rep = direct_sum(direct_sum(linear_character(2), linear_character(4)), linear_character(4))
+    path = tmp_path / "k2k4k4.json"
+    path.write_text(json.dumps(rep.to_record()))
+    payloads, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines:
+                        emit(args, payloads.append(payload) or payload, lines))
+    assert main(["analyze", str(path), "--format", "json", "--enumerate", *extra]) == 0
+    [payload] = payloads
+    assert len(payload["candidate_multisets"]) == count
+    expected = json.JSONEncoder(sort_keys=True, indent=2).encode(payload) + "\n"
+    assert capsys.readouterr().out == expected
+
+
+def test_candidate_json_blocks_match_the_encoder():
+    # Empty and negative entries, and more rows than one block holds.
+    rows = [{"epsilon": i % 2, "ks": list(range(-1, i % 4 - 1)),
+             "weights": [2 * k + i % 2 for k in range(-1, i % 4 - 1)]}
+            for i in range(cli.TEXT_BLOCK_LINES + 3)]
+    payload = {"a": [1, {"b": None}], "candidate_multisets": rows, "name": 'x"y'}
+    expected = json.JSONEncoder(sort_keys=True, indent=2).encode(payload)
+    assert "".join(cli._json_blocks(payload)) == expected
+
+
 def test_analyze_computes_the_traces_once(sum_rep_file, monkeypatch, capsys):
     # One traces() and one multiplicities() call; for an even representation
     # each evaluates rho(U) once.

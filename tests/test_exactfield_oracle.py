@@ -7,6 +7,11 @@ coordinates over one denominator.  They are kept here unchanged as the
 reference: on seeded random elements every product, sum, difference,
 inverse, lift and reduction must give the same ``coeffs`` and
 ``to_record()``, and every result must be in lowest terms.
+
+The integer kernels ``_kronecker`` and ``_mul`` are compared with schoolbook
+truncated products, on seeded operands whose largest entries meet below the
+cut, at it, or only past it, where the mask drops them; and the slot width
+of ``_slot_width`` with the whole-list bound it refines.
 """
 
 import math
@@ -15,7 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.exactfield import (CycNumber, _poly_divmod, _poly_trim, _reduction_rows,
+from vvmf.exactfield import (_PAIRWISE_SLOTS, CycNumber, _kronecker, _mul, _poly_divmod,
+                             _poly_trim, _reduction_rows, _slot_width,
                              cyclotomic_polynomial, euler_phi)
 
 _ZERO = Fraction(0)
@@ -178,3 +184,99 @@ def test_dense_inverse_at_the_order_bound():
     a = CycNumber.make(360, [Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3))
                              for _ in range(euler_phi(360))])
     assert a * a.inverse() == 1
+
+
+def schoolbook(xs, ys, size):
+    """First ``size`` coefficients of xs * ys, pair by pair."""
+    out = [0] * size
+    for i, x in enumerate(xs[:size]):
+        if x:
+            for j, y in enumerate(ys[:size - i]):
+                out[i + j] += x * y
+    return out
+
+
+def schoolbook_field(xs, ys, n, order):
+    """First n coefficients of the product of two series over Q(zeta_order),
+    phi flat coordinates per coefficient: each pair as a polynomial in zeta,
+    reduced modulo Phi_order at the end."""
+    phi = euler_phi(order)
+    terms = [[0] * (2 * phi - 1) for _ in range(n)]
+    for a in range(min(n, len(xs) // phi)):
+        for b in range(min(n - a, len(ys) // phi)):
+            for k, c in enumerate(schoolbook(xs[a * phi:(a + 1) * phi],
+                                             ys[b * phi:(b + 1) * phi], 2 * phi - 1)):
+                terms[a + b][k] += c
+    rows = _reduction_rows(order)
+    return [sum(c * rows[k][t] for k, c in enumerate(term)) for term in terms for t in range(phi)]
+
+
+def whole_list_width(xs, ys):
+    """Slot bytes from the bound min(len) * max|x| * max|y| over whole lists."""
+    bound = min(len(xs), len(ys)) * max(map(abs, xs), default=0) * max(map(abs, ys), default=0)
+    return (bound.bit_length() + 8) // 8 if bound else 0
+
+
+def kernel_operands(size, seed):
+    """Named (xs, ys) pairs of about ``size`` slots each.  ``lo`` and ``hi``
+    are the entries below and from ceil(size/2); the pairs of two ``hi``
+    entries land at or above ``size``, where the mask drops them, and the
+    ``middle-pair`` entries, the last ``lo`` ones, meet at size - 1 when
+    size is odd."""
+    rng = random.Random(f"kernel:{size}:{seed}")
+    h, mid = (size + 1) // 2, (size - 1) // 2
+
+    def halves(lo, hi, length=size):
+        return [rng.choice([-1, 0, 1]) * rng.randint(1, lo) if lo else 0 for _ in range(h)] \
+            + [rng.choice([-1, 1]) * rng.randint(1, hi) if hi else 0 for _ in range(length - h)]
+
+    small, big, huge = 9, 1 << 90, 1 << 400
+    return {
+        "random": (halves(small, small), halves(small, small)),
+        "both-high-halves-huge": (halves(small, huge), halves(small, huge)),
+        "x_lo*y_hi-largest": (halves(big, small), halves(small, big)),
+        "x_hi*y_lo-largest": (halves(small, big), halves(big, small)),
+        "y_lo-zero": (halves(small, huge), halves(0, small)),
+        "both-lows-zero": (halves(0, huge), halves(0, huge)),
+        "middle-pair": tuple(halves(small, small)[:mid] + [big] + halves(small, small)[mid + 1:]
+                             for _ in range(2)),
+        "bound-attained": ([255] * size, [-255] * size),
+        "short-and-long": (halves(small, big, size // 3), halves(big, huge, size + 5)),
+        "huge-past-size": (halves(small, small) + [huge] * 3, halves(small, small)),
+        "one-empty": ([], halves(small, small)),
+    }
+
+
+@pytest.mark.parametrize("size", [1, 2, 57, 127, 128, 129, 300])
+def test_kronecker_against_schoolbook(size):
+    for seed in range(2):
+        for name, (xs, ys) in kernel_operands(size, seed).items():
+            assert _kronecker(xs, ys, size) == schoolbook(xs, ys, size), name
+            assert _kronecker(ys, xs, size) == schoolbook(ys, xs, size), name
+
+
+@pytest.mark.parametrize("size", [1, 2, 57, 127, 128, 129, 300])
+def test_slot_width_refines_the_whole_list_bound(size):
+    for seed in range(2):
+        for name, (xs, ys) in kernel_operands(size, seed).items():
+            xs, ys = xs[:size], ys[:size]
+            got, whole = _slot_width(xs, ys, size), whole_list_width(xs, ys)
+            if size < _PAIRWISE_SLOTS:
+                assert got == whole, name
+            else:
+                assert got <= whole, name
+    xs, ys = kernel_operands(size, 0)["both-high-halves-huge"]
+    assert (_slot_width(xs, ys, size) < whole_list_width(xs, ys)) is (size >= _PAIRWISE_SLOTS)
+
+
+@pytest.mark.parametrize("order, n", [(1, 127), (1, 128), (1, 129), (1, 300),
+                                      (12, 18), (12, 19), (12, 43), (12, 127), (12, 300)])
+def test_mul_against_schoolbook(order, n):
+    """n coefficients, phi = 1 or 4: at phi 4 the kernel runs on 7*n slots,
+    so n = 18, 19 and 43 put it at 126, 133 and 301."""
+    phi = euler_phi(order)
+    for seed in range(2):
+        for name, (xs, ys) in kernel_operands(n, seed).items():
+            xs, ys = ([v * (r == 0) + v % 7 * (r > 0) for v in zs for r in range(phi)]
+                      for zs in (xs, ys))
+            assert _mul(xs, ys, n, order) == schoolbook_field(xs, ys, n, order), name

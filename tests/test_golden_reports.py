@@ -2,7 +2,8 @@
 
 The sha256 of each report below was recorded before the series storage
 moved to flat integer coordinates; any change to a report fails here.  The
-det suite at order 96 is compared with the benchmark's reference report.
+det suite at order 96 and the scalar suite at order 256 are compared with
+the benchmark's reference reports.
 """
 
 import hashlib
@@ -41,6 +42,7 @@ SUITE_JSON_SHA256 = {
 
 ROOT = Path(__file__).resolve().parent.parent
 DET_SUITE_REFERENCE = ROOT / "perfbench" / "reference" / "det-suite.txt"
+SCALAR_REFERENCE = ROOT / "perfbench" / "reference" / "scalar.txt"
 
 
 def _report(argv, capsys) -> str:
@@ -69,3 +71,8 @@ def test_suite_json_report_bytes(suite, capsys):
 def test_det_suite_matches_the_benchmark_reference(capsys):
     out = _report(["verify", "det", "--order", "96"], capsys)
     assert out == DET_SUITE_REFERENCE.read_text(encoding="utf-8")
+
+
+def test_scalar_suite_matches_the_benchmark_reference(capsys):
+    out = _report(["verify", "scalar", "--order", "256"], capsys)
+    assert out == SCALAR_REFERENCE.read_text(encoding="utf-8")

@@ -1,5 +1,5 @@
-"""Powers of the Euler product by the power recurrence, against the
-squaring route they replaced.
+"""Powers of the Euler product by the power recurrence, and the generator
+product identity by cross-multiplication, against the routes they replaced.
 
 ``_euler_power(s, order)`` builds prod (1-q^n)^s by J. C. P. Miller's
 recurrence over the pentagonal terms.  Its oracle is the generic
@@ -8,16 +8,24 @@ inverse when s < 0.  ``e4_e6_delta`` and ``gen_form`` build delta^k and
 Delta^r_inf from it; their oracles are the earlier constructions, kept
 verbatim: ``eta_squared(pad) ** k`` and ``discriminant(pad) ** r_inf``.
 Every comparison is of ``to_record()``, so windows and grids must match too.
+
+``verify_gen_product`` compares f_n * f_m with f_(n+m) * (J+744)^s3 *
+(J-984)^s2; its oracle is the quotient route it replaced, kept verbatim as
+``oracle_verify_gen_product``, which divides by f_(n+m).  The two must give
+the same bool or raise the same exception type, also on a corrupted f_n.
 """
 
 import random
 
 import pytest
 
+from vvmf import scalarforms
 from vvmf.errors import ConsistencyError
+from vvmf.qseries import QSeries
 from vvmf.scalarforms import (_euler_power, _euler_product, discriminant,
                               e4_e6_delta, eisenstein, eta_squared, gen_form,
-                              gen_form_order, remainders)
+                              gen_form_order, hauptmodul, remainder_carry,
+                              remainders, verify_gen_product)
 
 EXPONENTS = sorted({0, 1, -1, 2, -2, 24, -24, 400, -400,
                     *random.Random(8).sample(range(-400, 401), 12)})
@@ -71,3 +79,62 @@ def test_e4_e6_delta_matches_eta_squared_powers(a, order):
 def test_gen_form_matches_discriminant_powers(order):
     for n in range(-40, 41):
         assert gen_form(n, order).to_record() == oracle_gen_form(n, order).to_record(), n
+
+
+def oracle_verify_gen_product(n: int, m: int, order: int) -> bool:
+    """Check f_n * f_m / f_(n+m) = (J+744)^s3 * (J-984)^s2 exactly.
+
+    s3 and s2 are the remainder carries of (n, m) mod 3 and mod 2.  Raises
+    PrecisionError when the order leaves no comparison window.
+    """
+    lhs = gen_form(n, order) * gen_form(m, order) / gen_form(n + m, order)
+    s3 = remainder_carry(n, m, 3)
+    s2 = remainder_carry(n, m, 2)
+    rhs = QSeries.constant(1, order)
+    j = hauptmodul(order)
+    if s3:
+        rhs = rhs * (j + 744)
+    if s2:
+        rhs = rhs * (j - 984)
+    return lhs.agrees_with(rhs)
+
+
+PAIRS = [(n, m) for n in range(-12, 13) for m in range(-12, 13)]
+
+
+def _outcome(check, n, m, order):
+    """The bool a route returns, or the type of the exception it raises."""
+    try:
+        return check(n, m, order)
+    except Exception as exc:  # the types are compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 9, 16, 33])
+def test_gen_product_matches_the_quotient_route(order):
+    for n, m in PAIRS:
+        got = _outcome(verify_gen_product, n, m, order)
+        assert got == _outcome(oracle_verify_gen_product, n, m, order), (n, m)
+        assert got is (ValueError if order < 1 else True), (n, m)
+
+
+@pytest.mark.parametrize("bad, offset", [(3, 1), (-5, 2), (1, 7), (7, 32)])
+def test_corrupted_generator_fails_both_routes(bad, offset, monkeypatch):
+    """f_bad with its coefficient ``offset`` steps past the lead off by one,
+    inside the order-33 window: every pair that uses f_bad fails by either
+    route, but for (bad, 0) and (0, bad), where f_0 = 1 and f_bad cancels."""
+    order, exact = 33, gen_form
+
+    def corrupted(n, order):
+        f = exact(n, order)
+        if n != bad:
+            return f
+        return f + QSeries.from_coeffs([1], lead=f.lead + offset, valid_to=f.valid_to)
+
+    monkeypatch.setattr(scalarforms, "gen_form", corrupted)
+    monkeypatch.setitem(globals(), "gen_form", corrupted)
+    for n, m in PAIRS:
+        got = verify_gen_product(n, m, order)
+        assert got == oracle_verify_gen_product(n, m, order), (n, m)
+        uses_bad = bad in (n, m, n + m)
+        assert got is (not uses_bad or 0 in (n, m)), (n, m)
