@@ -205,8 +205,9 @@ def check_generator_determinant(vectors, weights, order: int) -> GeneratorDeterm
 
 def verify_det_ratio(rep: RepSpec, vectors, ks, n: int, order: int) -> bool:
     """Check that the scalar-generator ratio prod_i f_(n-k_i)/f_(-k_i)
-    equals the determinant ratio det_n(2n+eps) / det_n(eps), exactly on the
-    shared validity window.
+    equals the determinant ratio det_n(2n+eps) / det_n(eps), without
+    dividing: compare det_n(eps) * prod_i f_(n-k_i) with det_n(2n+eps) *
+    prod_i f_(-k_i), exactly on their shared validity window.
     """
     vectors = list(vectors)
     ks = [int(k) for k in ks]
@@ -215,8 +216,9 @@ def verify_det_ratio(rep: RepSpec, vectors, ks, n: int, order: int) -> bool:
     for v, k in zip(vectors, ks):
         if v.weight != 2 * k + rep.epsilon:
             raise ValueError(f"generator weight {v.weight} is not 2*{k}+{rep.epsilon}")
-    lhs = QSeries.constant(1, order)
+    lhs = det_n(rep, rep.epsilon, order)
+    rhs = det_n(rep, 2 * n + rep.epsilon, order)
     for k in ks:
-        lhs = lhs * gen_form(n - k, order) / gen_form(-k, order)
-    rhs = det_n(rep, 2 * n + rep.epsilon, order) / det_n(rep, rep.epsilon, order)
+        lhs = lhs * gen_form(n - k, order)
+        rhs = rhs * gen_form(-k, order)
     return lhs.agrees_with(rhs)

@@ -75,21 +75,14 @@ def _pentagonal(order: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _euler_product(order: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) via the pentagonal-number expansion."""
-    coeffs = [0] * order
-    for e, sign in _pentagonal(order):
-        coeffs[e] = sign
-    return QSeries.from_coeffs(coeffs, valid_to=order)
-
-
 def _euler_power(s: int, order: int) -> QSeries:
     """prod_{n>=1} (1 - q^n)^s below q^order >= 1, for any integer s, by J. C. P.
     Miller's power recurrence over the pentagonal terms p_j of the product:
     n*g_n = sum_j ((s+1)*j - n)*p_j*g_(n-j) = (s+1)*A_n - n*B_n with
     A_n = sum_j j*p_j*g_(n-j) and B_n = sum_j p_j*g_(n-j).  Every p_j is +-1,
-    so that is O(order^1.5) small-by-big steps, and the division is exact."""
+    so that is O(order^1.5) small-by-big steps, and the division is exact.
+    Its one caller is ``_e4_e6_delta``, the body of ``e4_e6_delta``,
+    ``gen_form``, ``eta_squared`` and the product side of ``discriminant``."""
     if s == 0:
         return QSeries.constant(1, order)
     terms = _pentagonal(order)[1:]
@@ -125,16 +118,29 @@ def eisenstein(k: int, order: int) -> QSeries:
     return QSeries.from_coeffs(coeffs, valid_to=order)
 
 
+def _e4_e6_delta(a: int, b: int, k: int, pad: int) -> QSeries:
+    """E4^a * E6^b * delta^k, delta^k = q^(k/12) * prod (1-q^n)^(2k), with every
+    factor built to ``pad`` and no window check.  The one body of ``e4_e6_delta``,
+    ``gen_form`` (Delta = delta^12), ``eta_squared`` and the product side of
+    ``discriminant``."""
+    out = _euler_power(2 * k, pad).regrid(12).shift(k, 12)
+    if a:
+        out = out * eisenstein(4, pad) ** a
+    if b:
+        out = out * eisenstein(6, pad) ** b
+    return out
+
+
 @lru_cache(maxsize=None)
 def discriminant(order: int) -> QSeries:
     """The discriminant cusp form, built and cross-checked two ways.
 
-    Returns q * prod (1-q^n)^24 and verifies it against
-    (E4^3 - E6^2)/1728 coefficient by coefficient.
+    Returns delta^12 = q * prod (1-q^n)^24 from the power recurrence and
+    verifies it against (E4^3 - E6^2)/1728 coefficient by coefficient.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    product = (_euler_product(order) ** 24).shift(1)
+    product = _e4_e6_delta(0, 0, 12, order)
     e4 = eisenstein(4, order)
     e6 = eisenstein(6, order)
     via_eisenstein = (e4 ** 3 - e6 ** 2) / 1728
@@ -151,8 +157,7 @@ def eta_squared(order: int) -> QSeries:
     """q^(1/12) * prod (1-q^n)^2, the canonical 12th root of the discriminant."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    sq = _euler_product(order) ** 2
-    return sq.regrid(12).shift(1, 12)
+    return _e4_e6_delta(0, 0, 1, order)
 
 
 def e4_e6_delta_order(k: int, order: int) -> int:
@@ -164,14 +169,8 @@ def e4_e6_delta_order(k: int, order: int) -> int:
 
 def e4_e6_delta(a: int, b: int, k: int, order: int) -> QSeries:
     """E4^a * E6^b * delta^k, the form of every determinant the package
-    checks, with delta^k = q^(k/12) * prod (1-q^n)^(2k) from the power
-    recurrence; each factor is built to ``e4_e6_delta_order(k, order)``."""
-    pad = e4_e6_delta_order(k, order)
-    out = _euler_power(2 * k, pad).regrid(12).shift(k, 12)
-    if a:
-        out = out * eisenstein(4, pad) ** a
-    if b:
-        out = out * eisenstein(6, pad) ** b
+    checks; each factor is built to ``e4_e6_delta_order(k, order)``."""
+    out = _e4_e6_delta(a, b, k, e4_e6_delta_order(k, order))
     if out.valid_exponent() < order:
         raise ConsistencyError(f"e4_e6_delta window ends at q^{out.valid_exponent()} < q^{order}")
     return out
@@ -199,16 +198,13 @@ def gen_form_order(n: int, order: int) -> int:
 def gen_form(n: int, order: int) -> QSeries:
     """The weight-2n form E4^r3 * E6^r2 * Delta^r_inf generating the
     weakly holomorphic forms of weight 2n over the weight-0 ring, with
-    Delta^r_inf = q^r_inf * prod (1-q^n)^(24*r_inf) from the power recurrence.
+    Delta^r_inf = delta^(12*r_inf) from the power recurrence.
 
     Holomorphic for n > 1; for n <= 1 the lead exponent is r_inf < 0 and the
     caller is responsible for requesting enough order for its comparison.
     """
     r = remainders(n)
-    pad = gen_form_order(n, order)
-    out = _euler_power(24 * r.r_inf, pad).shift(r.r_inf)  # Delta^r_inf
-    if r.r3 or r.r2:
-        out = eisenstein(4, pad) ** r.r3 * eisenstein(6, pad) ** r.r2 * out
+    out = _e4_e6_delta(r.r3, r.r2, 12 * r.r_inf, gen_form_order(n, order))
     if out.valid_exponent() < order:
         raise ConsistencyError(f"gen_form window ends at q^{out.valid_exponent()} < q^{order}")
     return out

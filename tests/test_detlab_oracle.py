@@ -8,15 +8,21 @@ twist times a separately padded delta^(n*d), and the target as a padded
 delta^total.  That det_n padded its delta factor for |n*d| alone, ignoring
 the pole of det_zero, so on many direct sums its window stopped short of the
 requested order and it raised ConsistencyError; the sweep below pins the fix.
+
+``verify_det_ratio`` compares det_n(eps) * prod f_(n-k) with
+det_n(2n+eps) * prod f_(-k); its oracle is the quotient route it replaced,
+kept verbatim as ``oracle_verify_det_ratio``.  The two must give the same
+bool or raise the same exception type, also on a corrupted f_n.
 """
 
 import pytest
 
+from vvmf import detlab
 from vvmf.detlab import FormVector, det_n, det_zero, verify_det_ratio
 from vvmf.errors import ConsistencyError
 from vvmf.qseries import QSeries
 from vvmf.replib import direct_sum, linear_character, multiplicities, twist
-from vvmf.scalarforms import e4_e6_delta, eisenstein, eta_squared
+from vvmf.scalarforms import e4_e6_delta, eisenstein, eta_squared, gen_form
 
 ORDERS = (8, 32, 96)
 
@@ -128,3 +134,80 @@ def test_det_ratio_on_doubled_characters(j):
     vectors = [FormVector.make(j, [gen, zero]), FormVector.make(j, [zero, gen])]
     for n in range(-3, 4):
         assert verify_det_ratio(rep, vectors, [j // 2, j // 2], n, 48), n
+
+
+def oracle_verify_det_ratio(rep, vectors, ks, n: int, order: int) -> bool:
+    """Check that the scalar-generator ratio prod_i f_(n-k_i)/f_(-k_i)
+    equals the determinant ratio det_n(2n+eps) / det_n(eps), exactly on the
+    shared validity window.
+    """
+    vectors = list(vectors)
+    ks = [int(k) for k in ks]
+    if len(vectors) != rep.dimension or len(ks) != rep.dimension:
+        raise ValueError("generator count must equal the dimension")
+    for v, k in zip(vectors, ks):
+        if v.weight != 2 * k + rep.epsilon:
+            raise ValueError(f"generator weight {v.weight} is not 2*{k}+{rep.epsilon}")
+    lhs = QSeries.constant(1, order)
+    for k in ks:
+        lhs = lhs * gen_form(n - k, order) / gen_form(-k, order)
+    rhs = det_n(rep, 2 * n + rep.epsilon, order) / det_n(rep, rep.epsilon, order)
+    return lhs.agrees_with(rhs)
+
+
+def _outcome(check, *args):
+    """The bool a route returns, or the type of the exception it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:  # the types are compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("order", [8, 16, 48])
+def test_det_ratio_matches_the_quotient_route(order):
+    """kappa^j (+) ... (+) kappa^j with d = 1..3 diagonal delta^j generators,
+    j in 0..11, n in -3..3."""
+    cases = 0
+    for d in (1, 2, 3):
+        for j in range(12):
+            rep = rep_of([j] * d)
+            gen = eta_squared(order) ** j if j else QSeries.constant(1, order)
+            zero = QSeries.zero(12 * order, 12)
+            vectors = [FormVector.make(j, [gen if i == c else zero for i in range(d)])
+                       for c in range(d)]
+            ks = [j // 2] * d
+            for n in range(-3, 4):
+                got = _outcome(verify_det_ratio, rep, vectors, ks, n, order)
+                assert got == _outcome(oracle_verify_det_ratio, rep, vectors, ks, n, order), \
+                    (rep.name, n)
+                cases += 1
+    assert cases == 252
+
+
+@pytest.mark.parametrize("bad, offset", [(-1, 1), (-4, 2), (2, 3), (-5, 9)])
+def test_corrupted_generator_fails_both_routes(bad, offset, monkeypatch):
+    """f_bad with its coefficient ``offset`` steps past the lead off by one,
+    inside the order-16 window: every case whose ratio uses f_bad fails by
+    either route, but for n = 0, where f_(n-k) = f_(-k) cancels."""
+    order, exact = 16, gen_form
+
+    def corrupted(n, order):
+        f = exact(n, order)
+        if n != bad:
+            return f
+        return f + QSeries.from_coeffs([1], lead=f.lead + offset, valid_to=f.valid_to)
+
+    monkeypatch.setattr(detlab, "gen_form", corrupted)
+    monkeypatch.setitem(globals(), "gen_form", corrupted)
+    failed = 0
+    for d in (1, 2):
+        for j in range(12):
+            rep, k = rep_of([j] * d), j // 2
+            vectors = [FormVector.make(j, [QSeries.constant(1, order)] * d)] * d
+            for n in range(-3, 4):
+                got = verify_det_ratio(rep, vectors, [k] * d, n, order)
+                assert got == oracle_verify_det_ratio(rep, vectors, [k] * d, n, order), \
+                    (rep.name, n)
+                assert got is (n == 0 or bad not in (n - k, -k)), (rep.name, n)
+                failed += not got
+    assert failed > 0

@@ -2,6 +2,8 @@
 
 The sha256 of each report below was recorded before the series storage
 moved to flat integer coordinates; any change to a report fails here.  The
+hashes of ``series`` at orders 8 and 512 were recorded while ``eta_squared``
+and ``discriminant`` still took series powers of the Euler product.  The
 det suite at order 96 and the scalar suite at order 256 are compared with
 the benchmark's reference reports.
 """
@@ -34,6 +36,29 @@ SERIES_SHA256 = {
     ("f:5", "text"): "dca12ed360e59af29b56dcf3d6da58b6cc44b6f3d2dbecf479e938b1c30da654",
 }
 
+SERIES_AT_ORDER_SHA256 = {
+    ("delta", 8, "json"): "026598a9a49ab60212a4d219330ed038c07ad108f4c22dafc9aa3de04de80c22",
+    ("delta", 8, "text"): "b55c7ac5e5c0d7bbe3869f62cae94e5ebea51d95d11a5f6f0f4922942ce46f3b",
+    ("delta", 512, "json"): "c5f777d80d9f1f1c16cbc3a2289a78a8c004f83edd27918b698f54498d8adaf4",
+    ("delta", 512, "text"): "a32faa8711e03a09398f2686bdc50e6d220448c9ad86b3f7b9276490c58786a3",
+    ("Delta", 8, "json"): "0ccedcba5c4bd38d1b58b97188cc71860801d8beb64e2320bbccdf04e4498783",
+    ("Delta", 8, "text"): "12b444ded92424cbab3ec7ef67ee21ab131fb1a54dad16b8c128a801257068f1",
+    ("Delta", 512, "json"): "e314405d777f777154b95fa2dd298bc665ff48f8a728298f2ba7dc726b50f6b0",
+    ("Delta", 512, "text"): "4ef53a69d61dfbaaae404a082c821b7f227d7b299335eb2d14a6b5356354dcbd",
+    ("f:-400", 8, "json"): "ea8a50586a1f94676ad4502b1b9e7f63609dfd0544a24ad50bf666d73234836b",
+    ("f:-400", 8, "text"): "402d1030e3922320ae4767fab805f64081087e45aaef43644b550828306c18bc",
+    ("f:-400", 512, "json"): "ec17bf6550b72ca85483174ac0177058d2d54b28e12c98fc9681094737fb307f",
+    ("f:-400", 512, "text"): "84857b3f8ab9c8fb8e0d3510509ba655c06f859baab44b12bc4620eb8517fbc3",
+    ("f:-40", 8, "json"): "b24c0bdb18fea686a9798864461c7b89030e73ec25f4f77b3c608dc95f2294ce",
+    ("f:-40", 8, "text"): "18b8aae73c78d1162ddbba6ebe3a15bf2c669b65e0538f361e5f72993718acb0",
+    ("f:-40", 512, "json"): "7b526bd6d1d2afb9b58154b5dcb5122a4be6865a39bd309ae0162bf1d782afa6",
+    ("f:-40", 512, "text"): "523b49ac53e3b3f152e46e955ccb3daf4ff9216d5d7a43442470d6f649e1d105",
+    ("f:5", 8, "json"): "bbf1708562cd7ed3d49e393f1ea8df0a725eab4b7c39a2969aee9a124c8d9888",
+    ("f:5", 8, "text"): "da77b636cb29b65329edf19c1443efb983c26d1ef065d5e1ca69dee503d8af5c",
+    ("f:5", 512, "json"): "f72ec0ec79b681d028d61c632ce3242da5e2942a091ea2e92ac2505451a208f5",
+    ("f:5", 512, "text"): "2ced96052ec05f7acfdd3274506ee9e07d398930923dce86c45e04de87625744",
+}
+
 SUITE_JSON_SHA256 = {
     "scalar": "cf13a97d46d8bdffedbc5fa804fdc38dcf1282972886569a8d869853687913bb",
     "det": "2fd0150095a71f6d9fec1b65c780ca9c62c28ed05c6a9569768bd42e238577d6",
@@ -60,6 +85,12 @@ def _sha256(text: str) -> str:
 def test_series_report_bytes(name, fmt, capsys):
     out = _report(["series", name, "--order", "64", "--format", fmt], capsys)
     assert _sha256(out) == SERIES_SHA256[name, fmt]
+
+
+@pytest.mark.parametrize("name, order, fmt", sorted(SERIES_AT_ORDER_SHA256))
+def test_series_report_bytes_at_order(name, order, fmt, capsys):
+    out = _report(["series", name, "--order", str(order), "--format", fmt], capsys)
+    assert _sha256(out) == SERIES_AT_ORDER_SHA256[name, order, fmt]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_JSON_SHA256))

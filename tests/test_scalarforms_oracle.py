@@ -3,11 +3,14 @@ product identity by cross-multiplication, against the routes they replaced.
 
 ``_euler_power(s, order)`` builds prod (1-q^n)^s by J. C. P. Miller's
 recurrence over the pentagonal terms.  Its oracle is the generic
-``QSeries.__pow__`` on ``_euler_product``: repeated squaring, after a series
-inverse when s < 0.  ``e4_e6_delta`` and ``gen_form`` build delta^k and
-Delta^r_inf from it; their oracles are the earlier constructions, kept
-verbatim: ``eta_squared(pad) ** k`` and ``discriminant(pad) ** r_inf``.
-Every comparison is of ``to_record()``, so windows and grids must match too.
+``QSeries.__pow__`` on ``_euler_product``, the series of the product, kept
+here verbatim: repeated squaring, after a series inverse when s < 0.
+``e4_e6_delta``, ``gen_form``, ``eta_squared`` and ``discriminant`` build
+delta^k, Delta^r_inf, delta and Delta from it; their oracles are the earlier
+constructions, kept verbatim: ``eta_squared(pad) ** k``,
+``discriminant(pad) ** r_inf`` and the squared and 24th power of
+``_euler_product``.  Every comparison is of ``to_record()``, so windows and
+grids must match too.
 
 ``verify_gen_product`` compares f_n * f_m with f_(n+m) * (J+744)^s3 *
 (J-984)^s2; its oracle is the quotient route it replaced, kept verbatim as
@@ -20,15 +23,23 @@ import random
 import pytest
 
 from vvmf import scalarforms
-from vvmf.errors import ConsistencyError
+from vvmf.errors import ConsistencyError, PrecisionError
 from vvmf.qseries import QSeries
-from vvmf.scalarforms import (_euler_power, _euler_product, discriminant,
+from vvmf.scalarforms import (_euler_power, _pentagonal, discriminant,
                               e4_e6_delta, eisenstein, eta_squared, gen_form,
                               gen_form_order, hauptmodul, remainder_carry,
                               remainders, verify_gen_product)
 
 EXPONENTS = sorted({0, 1, -1, 2, -2, 24, -24, 400, -400,
                     *random.Random(8).sample(range(-400, 401), 12)})
+
+
+def _euler_product(order: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n) via the pentagonal-number expansion."""
+    coeffs = [0] * order
+    for e, sign in _pentagonal(order):
+        coeffs[e] = sign
+    return QSeries.from_coeffs(coeffs, valid_to=order)
 
 
 def oracle_e4_e6_delta(a, b, k, order):
@@ -64,6 +75,26 @@ def test_euler_power_small_cases():
     assert list(_euler_power(3, 12).coeffs) == [cube.get(n, 0) for n in range(12)]
     assert _euler_power(5, 1).to_record() == {"grid": 1, "lead": 0, "valid_to": 1,
                                               "coeffs": [{"order": 1, "coeffs": ["1"]}]}
+
+
+@pytest.mark.parametrize("order", [1, 2, 8, 97, 300, 2050])
+def test_eta_squared_and_discriminant_match_series_powers(order):
+    assert eta_squared(order).to_record() == \
+        (_euler_product(order) ** 2).regrid(12).shift(1, 12).to_record()
+    if order == 1:
+        # Delta starts at q^1 and (E4^3 - E6^2)/1728 is trusted below q^1, so
+        # the cross-check has no window, by either route.
+        with pytest.raises(PrecisionError):
+            discriminant(order)
+        return
+    assert discriminant(order).to_record() == \
+        (_euler_product(order) ** 24).shift(1).to_record()
+
+
+@pytest.mark.parametrize("build", [eta_squared, discriminant])
+def test_eta_squared_and_discriminant_refuse_order_zero(build):
+    with pytest.raises(ValueError):
+        build(0)
 
 
 @pytest.mark.parametrize("order", [8, 96])
