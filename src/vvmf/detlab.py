@@ -201,24 +201,3 @@ def check_generator_determinant(vectors, weights, order: int) -> GeneratorDeterm
         weight_sum_nonneg=total >= 0,
         leading_coefficient=ext.leading_coefficient,
     )
-
-
-def verify_det_ratio(rep: RepSpec, vectors, ks, n: int, order: int) -> bool:
-    """Check that the scalar-generator ratio prod_i f_(n-k_i)/f_(-k_i)
-    equals the determinant ratio det_n(2n+eps) / det_n(eps), without
-    dividing: compare det_n(eps) * prod_i f_(n-k_i) with det_n(2n+eps) *
-    prod_i f_(-k_i), exactly on their shared validity window.
-    """
-    vectors = list(vectors)
-    ks = [int(k) for k in ks]
-    if len(vectors) != rep.dimension or len(ks) != rep.dimension:
-        raise ValueError("generator count must equal the dimension")
-    for v, k in zip(vectors, ks):
-        if v.weight != 2 * k + rep.epsilon:
-            raise ValueError(f"generator weight {v.weight} is not 2*{k}+{rep.epsilon}")
-    lhs = det_n(rep, rep.epsilon, order)
-    rhs = det_n(rep, 2 * n + rep.epsilon, order)
-    for k in ks:
-        lhs = lhs * gen_form(n - k, order)
-        rhs = rhs * gen_form(-k, order)
-    return lhs.agrees_with(rhs)

@@ -460,15 +460,11 @@ def root_of_unity(order: int, k: int) -> CycNumber:
     return CycNumber(order, _reduction_rows(order)[k % order])
 
 
-def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
-    """Solve sum_j x_j * columns[j] = t over the field for every t in targets.
-
-    Gauss-Jordan elimination; free unknowns are set to zero.  Returns one
-    solution per target, or None when some target is out of reach.
-    """
-    rows, ncols = len(targets[0]), len(columns)
-    aug = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(rows)]
-    pivots = []
+def _row_reduce(aug: list[list[CycNumber]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of the first ``ncols`` columns of ``aug`` in
+    place; returns the pivot columns, pivots[i] that of row i.  A column with
+    no pivot keeps its coordinates over the pivot columns before it."""
+    rows, pivots = len(aug), []
     for c in range(ncols):
         r = len(pivots)
         pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
@@ -484,6 +480,18 @@ def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
         pivots.append(c)
         if len(pivots) == rows:
             break
+    return pivots
+
+
+def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
+    """Solve sum_j x_j * columns[j] = t over the field for every t in targets.
+
+    One ``_row_reduce``; free unknowns are set to zero.  Returns one
+    solution per target, or None when some target is out of reach.
+    """
+    rows, ncols = len(targets[0]), len(columns)
+    aug = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(rows)]
+    pivots = _row_reduce(aug, ncols)
     # Inconsistent when a zeroed row keeps a nonzero target entry.
     if any(not v.is_zero() for row in aug[len(pivots):] for v in row[ncols:]):
         return None

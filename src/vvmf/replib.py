@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import RepValidationError
 from .exactfield import (CycNumber, _check_order, _coerce, _poly_divmod, _poly_trim,
-                         _solve_exact, root_of_unity)
+                         _row_reduce, _solve_exact, root_of_unity)
 
 Matrix = tuple[tuple[CycNumber, ...], ...]
 
@@ -109,10 +109,11 @@ class RepSpec:
     s: Matrix
     t: Matrix
     epsilon: int
+    rho_u: Matrix  # rho(S) rho(T)^-1, from make_rep's one inverse
 
     def u(self) -> Matrix:
         """The image of [[0,-1],[1,-1]] = S*T^(-1)."""
-        return _mat_mul(self.s, _mat_inv(self.t))
+        return self.rho_u
 
     def to_record(self) -> dict:
         return {
@@ -164,7 +165,7 @@ def make_rep(name: str, s_rows, t_rows) -> RepSpec:
             "rho(S)^2 is not plus or minus the identity: "
             "decompose into even/odd parts first"
         )
-    return RepSpec(name, d, order, s, t, epsilon)
+    return RepSpec(name, d, order, s, t, epsilon, u)
 
 
 def load_rep(record: dict) -> RepSpec:
@@ -206,9 +207,10 @@ def twist(rep: RepSpec, j: int) -> RepSpec:
     """Tensor with the j-th character power; parity flips with odd j."""
     s = _mat_scale(rep.s, character_value("S", j))
     t = _mat_scale(rep.t, character_value("T", j))
+    u = _mat_scale(rep.rho_u, character_value("U", j))
     name = rep.name if j % 12 == 0 else f"{rep.name}*kappa^{j % 12}"
     return RepSpec(name, rep.dimension, math.lcm(rep.order, 12 if j % 12 else 1),
-                   s, t, (rep.epsilon + j) % 2)
+                   s, t, (rep.epsilon + j) % 2, u)
 
 
 def direct_sum(a: RepSpec, b: RepSpec) -> RepSpec:
@@ -218,7 +220,8 @@ def direct_sum(a: RepSpec, b: RepSpec) -> RepSpec:
         )
     return RepSpec(f"{a.name}(+){b.name}", a.dimension + b.dimension,
                    math.lcm(a.order, b.order),
-                   _block_diag(a.s, b.s), _block_diag(a.t, b.t), a.epsilon)
+                   _block_diag(a.s, b.s), _block_diag(a.t, b.t), a.epsilon,
+                   _block_diag(a.rho_u, b.rho_u))
 
 
 def split_by_parity(blocks) -> tuple[RepSpec | None, RepSpec | None]:
@@ -246,10 +249,12 @@ class TraceData:
 
 
 def traces(rep: RepSpec) -> TraceData:
-    """Exact traces of rho(S), rho(U) and rho(U)^-1 with U = S*T^(-1)."""
+    """Exact traces of rho(S), rho(U) and rho(U)^-1 = rho(U)^2 with U = S*T^(-1);
+    Tr U^2 sums the nonzero products U_ik * U_ki, the diagonal of U*U alone."""
     u = rep.u()
-    return TraceData(_mat_trace(rep.s), _mat_trace(u),
-                     _mat_trace(_mat_mul(u, u)))
+    u_inv = sum((x * u[k][i] for i, row in enumerate(u) for k, x in enumerate(row)
+                 if not x.is_zero() and not u[k][i].is_zero()), CycNumber.zero())
+    return TraceData(_mat_trace(rep.s), _mat_trace(u), u_inv)
 
 
 @dataclass(frozen=True)
@@ -319,17 +324,16 @@ def t_is_semisimple(rep: RepSpec) -> bool:
 
 
 def _min_poly(m: Matrix) -> list[CycNumber]:
-    """Minimal polynomial via the first linear dependence among powers of m."""
+    """Minimal polynomial via the first linear dependence among powers of m: the
+    first column without a pivot in one row reduction of m^0..m^d flattened."""
     d = len(m)
     powers = [_identity(d)]
     for _ in range(d):
         powers.append(_mat_mul(powers[-1], m))
-    vecs = [[p[i][j] for i in range(d) for j in range(d)] for p in powers]
-    for deg in range(1, d + 1):
-        sol = _solve_exact(vecs[:deg], [vecs[deg]])
-        if sol is not None:
-            return [-c for c in sol[0]] + [CycNumber.one()]
-    raise AssertionError("Cayley-Hamilton guarantees a dependence by degree d")
+    aug = [[p[i][j] for p in powers] for i in range(d) for j in range(d)]
+    pivots = _row_reduce(aug, d + 1)
+    deg = next(c for c in range(d + 1) if c == len(pivots) or pivots[c] != c)
+    return [-aug[i][deg] for i in range(deg)] + [CycNumber.one()]
 
 
 def _poly_gcd(a: list[CycNumber], b: list[CycNumber]) -> list[CycNumber]:

@@ -136,13 +136,14 @@ def discriminant(order: int) -> QSeries:
     """The discriminant cusp form, built and cross-checked two ways.
 
     Returns delta^12 = q * prod (1-q^n)^24 from the power recurrence and
-    verifies it against (E4^3 - E6^2)/1728 coefficient by coefficient.
+    verifies it against (E4^3 - E6^2)/1728 coefficient by coefficient.  That
+    side is built a term further, so even at order 1 the two share q^1.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     product = _e4_e6_delta(0, 0, 12, order)
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
+    e4 = eisenstein(4, order + 1)
+    e6 = eisenstein(6, order + 1)
     via_eisenstein = (e4 ** 3 - e6 ** 2) / 1728
     if not product.agrees_with(via_eisenstein):
         raise ConsistencyError(

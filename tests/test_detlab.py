@@ -2,10 +2,10 @@
 
 import pytest
 
+from test_detlab_oracle import verify_det_ratio
 from vvmf.detlab import (FormVector, check_generator_determinant, det_n,
                          det_zero, exterior_product, generators_from_record,
-                         generators_to_record, verify_det_ratio,
-                         weak_generating_set)
+                         generators_to_record, weak_generating_set)
 from vvmf.errors import PrecisionError
 from vvmf.qseries import QSeries
 from vvmf.replib import linear_character

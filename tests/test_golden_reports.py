@@ -5,15 +5,23 @@ moved to flat integer coordinates; any change to a report fails here.  The
 hashes of ``series`` at orders 8 and 512 were recorded while ``eta_squared``
 and ``discriminant`` still took series powers of the Euler product.  The
 det suite at order 96 and the scalar suite at order 256 are compared with
-the benchmark's reference reports.
+the benchmark's reference reports.  The ``analyze`` hashes were recorded
+while ``RepSpec.u()`` still inverted rho(T) on every call; their inputs are
+the defining representation (odd, rho(T) a Jordan block), a direct sum of
+characters with entries of orders 1 and 12, and the seed-1 representations
+of the benchmark's ``enumerate`` and ``cyclo-det`` workloads, built by
+``perfbench/inputs.py``, which is loaded from its file and only read.
 """
 
 import hashlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from vvmf.cli import main
+from vvmf.replib import direct_sum, linear_character
 
 SERIES_SHA256 = {
     ("E4", "json"): "3972c978f9b92ec9ce87df8d85786a03b4710bb366605724689c5611b00fa8ab",
@@ -65,7 +73,19 @@ SUITE_JSON_SHA256 = {
     "kappa": "f728d9c954ca1ad3f1d35df4678376a6aa8fbc6c0b5a47305b781306d9dca547",
 }
 
+ANALYZE_SHA256 = {
+    ("defining", "json"): "cbbabdd0bee7403e7a57da378f24a3918ffaea239b60973b9e598459892593ce",
+    ("defining", "text"): "8dbf11f8173cd1c97c3a79dc6278d5d44b676ad09079aa05b1b83c530bbac391",
+    ("kappa-0-2-4", "json"): "9e26f06bc0470b73fac9c24ae51d46abd1a7d982661c35df13eb9d344d95ddeb",
+    ("kappa-0-2-4", "text"): "6af1877d55d0e05d5f95e11791df22fc9deb3a61e69225b1901d536f17771bf1",
+    ("enumerate-1", "json"): "bb934fd73b3347894cd163e32fa609cb766d5828b5aa80b5adaecd2647c2a938",
+    ("enumerate-1", "text"): "c8a56f897107e1895f2413ccacd1199ffffe6f89c1a49affb79af26aa999ddf1",
+    ("cyclo-det-1", "json"): "dee40ca6271fc897c7b51971a9d9de5821958512ed4ca8ac851147fefb9c93fb",
+    ("cyclo-det-1", "text"): "3b90815f85247d3d74175dce3c9f1c9ac4dbe9e1363db8c728a4f5fc330c431e",
+}
+
 ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "perfbench" / "inputs.py"
 DET_SUITE_REFERENCE = ROOT / "perfbench" / "reference" / "det-suite.txt"
 SCALAR_REFERENCE = ROOT / "perfbench" / "reference" / "scalar.txt"
 
@@ -79,6 +99,27 @@ def _report(argv, capsys) -> str:
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _rational_rows(rows) -> list:
+    return [[{"order": 1, "coeffs": [str(v)]} for v in row] for row in rows]
+
+
+def _analyze_input(name: str) -> dict:
+    """The representation record behind each ``ANALYZE_SHA256`` key."""
+    if name == "defining":
+        return {"name": "defining", "S": _rational_rows([[0, -1], [1, 0]]),
+                "T": _rational_rows([[1, 1], [0, 1]])}
+    if name == "kappa-0-2-4":
+        rep = direct_sum(direct_sum(linear_character(0), linear_character(2)),
+                         linear_character(4))
+        return rep.to_record()
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    if name == "enumerate-1":
+        return inputs.enumerate_input(1)
+    return inputs.cyclo_det_inputs(1)[1]
 
 
 @pytest.mark.parametrize("name, fmt", sorted(SERIES_SHA256))
@@ -107,3 +148,13 @@ def test_det_suite_matches_the_benchmark_reference(capsys):
 def test_scalar_suite_matches_the_benchmark_reference(capsys):
     out = _report(["verify", "scalar", "--order", "256"], capsys)
     assert out == SCALAR_REFERENCE.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, fmt", sorted(ANALYZE_SHA256))
+def test_analyze_report_bytes(name, fmt, tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_analyze_input(name)), encoding="utf-8")
+    out = _report(["analyze", str(path), "--format", fmt], capsys)
+    if fmt == "text":
+        assert ("warning: rho(T) is not semisimple" in out) is (name == "defining")
+    assert _sha256(out) == ANALYZE_SHA256[name, fmt]

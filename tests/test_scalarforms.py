@@ -97,6 +97,20 @@ def test_discriminant_against_brute_product():
         assert d.coefficient(e) == oracle.get(e - 1, 0)
 
 
+@pytest.mark.parametrize("order", range(1, 9))
+def test_discriminant_at_small_orders(order):
+    # The product side starts at q^1 and is trusted below q^(order+1); the
+    # Eisenstein side of the cross-check is built to order + 1, so the two
+    # share a window even at order 1, where the answer is q.
+    d = discriminant(order)
+    assert (d.lead, d.valid_to) == (1, order + 1)
+    oracle = brute_eta_power(24, order)
+    assert [d.coefficient(e) for e in range(1, order + 1)] == \
+        [oracle.get(e - 1, 0) for e in range(1, order + 1)]
+    e4, e6 = eisenstein(4, order + 1), eisenstein(6, order + 1)
+    assert ((e4 ** 3 - e6 ** 2) / 1728).agrees_with(d)
+
+
 def test_discriminant_pipelines_cross_check():
     d = discriminant(64)
     e4, e6 = eisenstein(4, 64), eisenstein(6, 64)

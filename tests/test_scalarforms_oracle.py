@@ -23,7 +23,7 @@ import random
 import pytest
 
 from vvmf import scalarforms
-from vvmf.errors import ConsistencyError, PrecisionError
+from vvmf.errors import ConsistencyError
 from vvmf.qseries import QSeries
 from vvmf.scalarforms import (_euler_power, _pentagonal, discriminant,
                               e4_e6_delta, eisenstein, eta_squared, gen_form,
@@ -81,12 +81,6 @@ def test_euler_power_small_cases():
 def test_eta_squared_and_discriminant_match_series_powers(order):
     assert eta_squared(order).to_record() == \
         (_euler_product(order) ** 2).regrid(12).shift(1, 12).to_record()
-    if order == 1:
-        # Delta starts at q^1 and (E4^3 - E6^2)/1728 is trusted below q^1, so
-        # the cross-check has no window, by either route.
-        with pytest.raises(PrecisionError):
-            discriminant(order)
-        return
     assert discriminant(order).to_record() == \
         (_euler_product(order) ** 24).shift(1).to_record()
 
