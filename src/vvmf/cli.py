@@ -24,7 +24,7 @@ from .errors import PrecisionError, RepValidationError, UsageError, VvmfError
 from .replib import load_rep, multiplicities, t_is_semisimple, traces
 from .scalarforms import e4_e6_delta_order, gen_form_order, named_form
 from .suites import SUITE_NAMES, run_suite
-from .weightcalc import WeightProfile, enumerate_weight_multisets
+from .weightcalc import WeightProfile, _candidate_ks
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -88,12 +88,13 @@ TEXT_BLOCK_LINES = 8192
 
 def _json_blocks(payload: dict):
     """``payload`` as ``json.JSONEncoder(sort_keys=True, indent=2)`` encodes
-    it, in blocks.  That encoder has no C path with an indent, so a non-empty
-    ``candidate_multisets`` list is laid out here by hand, as it would lay it
-    out, between the encoder's text for the rest of the payload."""
+    it, in blocks.  That encoder has no C path with an indent, so non-empty
+    ``_Candidates`` under ``candidate_multisets`` are laid out here by hand,
+    as it would lay them out, between the encoder's text for the rest of the
+    payload."""
     encoder = json.JSONEncoder(sort_keys=True, indent=2)
     rows = payload.get("candidate_multisets")
-    if not rows:
+    if not isinstance(rows, _Candidates) or not rows:
         # Blocks of encoder chunks, for the same reason as text blocks.
         chunks = encoder.iterencode(payload)
         while block := "".join(islice(chunks, 65536)):
@@ -103,20 +104,46 @@ def _json_blocks(payload: dict):
     head, _, tail = encoder.encode({**payload, "candidate_multisets": None}) \
         .partition(key + "null")
     yield head + key + "[\n"
-    it, sep = iter(rows), ""
+    it, sep = rows.json_entries(), ""
     while block := list(islice(it, TEXT_BLOCK_LINES)):
-        yield sep + ",\n".join(map(_candidate_json, block))
+        yield sep + ",\n".join(block)
         sep = ",\n"
     yield "\n  ]" + tail
 
 
-def _candidate_json(row: dict) -> str:
-    """One ``candidate_multisets`` entry, {"epsilon": int, "ks": [int],
-    "weights": [int]}, in the indent=2 layout at depth 2."""
-    ks, weights = ("[\n        " + ",\n        ".join(map(str, v)) + "\n      ]" if v else "[]"
-                   for v in (row["ks"], row["weights"]))
-    return (f'    {{\n      "epsilon": {row["epsilon"]},\n      "ks": {ks},\n'
-            f'      "weights": {weights}\n    }}')
+class _Candidates(list):
+    """A report's candidate weight multisets, as the walk's sorted k tuples.
+    Iterating gives each as its ``candidate_multisets`` row {"epsilon": int,
+    "ks": [int], "weights": [int]}, weights 2k + epsilon, so the payload is
+    what the json module would encode; the report lays the tuples out
+    itself, from the text of each k and weight, made once per k value in
+    them."""
+
+    def __init__(self, epsilon: int, candidates: list[tuple[int, ...]]):
+        super().__init__(candidates)
+        self.epsilon = epsilon
+        seen = set(chain.from_iterable(candidates))
+        self.k_text = {k: str(k) for k in seen}.__getitem__
+        self.w_text = {k: str(2 * k + epsilon) for k in seen}.__getitem__
+
+    def __iter__(self):
+        eps = self.epsilon
+        return ({"epsilon": eps, "ks": list(ks), "weights": [2 * k + eps for k in ks]}
+                for ks in super().__iter__())
+
+    def text_lines(self):
+        k_text, w_text = self.k_text, self.w_text
+        return (f"  k = [{', '.join(map(k_text, ks))}]  ->  "
+                f"weights [{', '.join(map(w_text, ks))}]" for ks in super().__iter__())
+
+    def json_entries(self):
+        """Each row in the indent=2 layout at depth 2; a row's lists are
+        never empty, since a representation has dimension at least 1."""
+        head = f'    {{\n      "epsilon": {self.epsilon},\n      "ks": [\n        '
+        mid = '\n      ],\n      "weights": [\n        '
+        sep, tail = ",\n        ", "\n      ]\n    }"
+        return (head + sep.join(map(self.k_text, ks)) + mid + sep.join(map(self.w_text, ks)) + tail
+                for ks in super().__iter__())
 
 
 def _emit(args, payload: dict, lines) -> None:
@@ -244,25 +271,19 @@ def cmd_analyze(args) -> int:
                      "the weight constraints may not apply")
     if args.enumerate_:
         try:
-            candidates = enumerate_weight_multisets(
-                rep.dimension, rep.epsilon, mult, args.kmin, args.kmax,
-                sum_w=args.sum_w)
+            candidates = _candidate_ks(rep.dimension, rep.epsilon, mult,
+                                       args.kmin, args.kmax, args.sum_w)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        rows = _Candidates(rep.epsilon, candidates)
         if args.format == "json":
-            payload["candidate_multisets"] = [
-                {"epsilon": ws.epsilon, "ks": list(ws.ks),
-                 "weights": list(ws.weights)}
-                for ws in candidates
-            ]
+            payload["candidate_multisets"] = rows
         else:
             lines.append(f"candidate weight multisets "
                          f"(k in [{args.kmin}, {args.kmax}]"
                          + (f", total weight {args.sum_w}" if args.sum_w is not None else "")
                          + "):")
-            body = (f"  k = {list(ws.ks)}  ->  weights {list(ws.weights)}"
-                    for ws in candidates)
-            lines = chain(lines, body if candidates else ["  none"])
+            lines = chain(lines, rows.text_lines() if rows else ["  none"])
     _emit(args, payload, lines)
     return EXIT_OK
 

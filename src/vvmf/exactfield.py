@@ -9,7 +9,8 @@ and equality is coordinate-wise:
     >>> x.num, x.den
     ((2, 3), 4)
 
-Products run on the integer Kronecker kernel that also multiplies series;
+A product convolves the integer coordinates directly and reduces modulo
+Phi_N, as the Kronecker kernel that multiplies series does per coefficient;
 the inverse divides the product of the Galois conjugates by the norm.
 
 Mixed-order arithmetic lifts both operands to the field of order
@@ -124,16 +125,22 @@ def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
     per coefficient (n = 1: two field elements), with 2*phi-1 slots per
     coefficient; zeta^k for k >= phi is reduced afterwards."""
     phi = euler_phi(order)
-    if phi == 1:
-        if n == 1:
-            # One rational coefficient: a plain multiply, no packing.
-            return [xs[0] * ys[0] if xs and ys else 0]
-        return _kronecker(xs, ys, n)
     span = 2 * phi - 1
-    pad = [0] * (phi - 1)
-    xs, ys = ([v for i in range(0, min(len(zs), n * phi), phi) for v in [*zs[i:i + phi], *pad]]
-              for zs in (xs, ys))
-    flat = _kronecker(xs, ys, n * span)
+    if n == 1:
+        # Two field elements: a direct convolution, no packing.
+        flat = [0] * span
+        ys = ys[:phi]
+        for i, x in enumerate(xs[:phi]):
+            if x:
+                for j, y in enumerate(ys, i):
+                    flat[j] += x * y
+    elif phi == 1:
+        return _kronecker(xs, ys, n)
+    else:
+        pad = [0] * (phi - 1)
+        xs, ys = ([v for i in range(0, min(len(zs), n * phi), phi)
+                   for v in [*zs[i:i + phi], *pad]] for zs in (xs, ys))
+        flat = _kronecker(xs, ys, n * span)
     rows = _reduction_rows(order)[phi:span]
     out = []
     for base in range(0, n * span, span):

@@ -190,19 +190,11 @@ def count_weight_multisets(d: int, mult: Multiplicities, k_min: int,
                for ns in _class_counts(d, mult))
 
 
-def enumerate_weight_multisets(d: int, epsilon: int, mult: Multiplicities,
-                               k_min: int = 0, k_max: int = 11,
-                               sum_w: int | None = None) -> list[WeightMultiset]:
-    """All size-d multisets over [k_min, k_max] matching the congruence
-    counts, with non-negative total weight (and the exact total when given),
-    in lexicographic order of their sorted k.
-
-    The total weight is not determined by trace data, so it is an optional
-    input rather than something pretended to be derived.  Infeasible
-    constraints yield an empty list.  A request with more than
-    ``MAX_CANDIDATES`` candidates is refused with ValueError before any is
-    built.
-    """
+def _candidate_ks(d: int, epsilon: int, mult: Multiplicities, k_min: int,
+                  k_max: int, sum_w: int | None) -> list[tuple[int, ...]]:
+    """Each candidate of ``enumerate_weight_multisets`` as its sorted tuple
+    of k, in lexicographic order, after the same checks with the same errors
+    (the cap before any candidate is built)."""
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     if epsilon not in (0, 1):
@@ -217,17 +209,37 @@ def enumerate_weight_multisets(d: int, epsilon: int, mult: Multiplicities,
     pools = _class_pools(k_min, k_max)
     out = []
     for ns in _class_counts(d, mult):
-        picks = (combinations_with_replacement(pool, n) for pool, n in zip(pools, ns))
-        for pick in product(*picks):
-            ks = tuple(chain.from_iterable(pick))  # WeightMultiset sorts it
-            total = 2 * sum(ks) + d * epsilon
-            if total < 0:
-                continue
-            if sum_w is not None and total != sum_w:
-                continue
-            out.append(WeightMultiset(epsilon, ks))
-    out.sort(key=lambda w: w.ks)
+        # The classes in use; a class with one k walks its range lazily,
+        # so a wide range costs no memory.
+        picks = [zip(pool) if n == 1 else combinations_with_replacement(pool, n)
+                 for pool, n in zip(pools, ns) if n]
+        if len(picks) == 1:
+            kss = picks[0]  # already sorted
+        else:
+            kss = map(tuple, map(sorted, map(chain.from_iterable, product(*picks))))
+        if sum_w is not None or k_min < 0:  # else every total is >= 0
+            kss = (ks for ks in kss if (total := 2 * sum(ks) + d * epsilon) >= 0
+                   and (sum_w is None or total == sum_w))
+        out += kss
+    out.sort()
     return out
+
+
+def enumerate_weight_multisets(d: int, epsilon: int, mult: Multiplicities,
+                               k_min: int = 0, k_max: int = 11,
+                               sum_w: int | None = None) -> list[WeightMultiset]:
+    """All size-d multisets over [k_min, k_max] matching the congruence
+    counts, with non-negative total weight (and the exact total when given),
+    in lexicographic order of their sorted k.
+
+    The total weight is not determined by trace data, so it is an optional
+    input rather than something pretended to be derived.  Infeasible
+    constraints yield an empty list.  A request with more than
+    ``MAX_CANDIDATES`` candidates is refused with ValueError before any is
+    built.
+    """
+    return [WeightMultiset(epsilon, ks)
+            for ks in _candidate_ks(d, epsilon, mult, k_min, k_max, sum_w)]
 
 
 def dimension_series(ws: WeightMultiset, n_max: int) -> list[int]:

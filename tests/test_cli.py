@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,23 @@ def test_enumerate_over_the_cap_is_usage_error(js, kmax, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "above the cap 500000" in err and "Traceback" not in err
+
+
+def test_wide_range_costs_memory_by_what_is_printed(rep_file, capsys):
+    # kappa^2 over [0, 2900000]: 483,334 candidates, under the cap, and one
+    # of them has total weight 2000006.  Nothing held grows with the range.
+    tracemalloc.start()
+    try:
+        code = main(["analyze", rep_file, "--enumerate", "--kmax", "2900000",
+                     "--sum", "2000006"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("  k = ")] == \
+        ["  k = [1000003]  ->  weights [2000006]"]
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -12,6 +12,13 @@ The integer kernels ``_kronecker`` and ``_mul`` are compared with schoolbook
 truncated products, on seeded operands whose largest entries meet below the
 cut, at it, or only past it, where the mask drops them; and the slot width
 of ``_slot_width`` with the whole-list bound it refines.
+
+``kronecker_field_mul`` is the route ``_mul`` took for two field elements
+(n = 1) before it convolved their coordinates directly: both padded into
+2*phi - 1 slots, one ``_kronecker`` product, then the reduction.  The direct
+route must give the same coordinates at every order from 2 to 60, on zero
+and short coordinate lists and on coordinates of 1 to 200 bits of either
+sign.
 """
 
 import math
@@ -280,3 +287,61 @@ def test_mul_against_schoolbook(order, n):
             xs, ys = ([v * (r == 0) + v % 7 * (r > 0) for v in zs for r in range(phi)]
                       for zs in (xs, ys))
             assert _mul(xs, ys, n, order) == schoolbook_field(xs, ys, n, order), name
+
+
+def kronecker_field_mul(xs, ys, order):
+    """The product of two field elements through one Kronecker-packed
+    product, as ``_mul`` computed it at n = 1."""
+    phi = euler_phi(order)
+    span = 2 * phi - 1
+    pad = [0] * (phi - 1)
+    xs, ys = ([v for i in range(0, min(len(zs), phi), phi) for v in [*zs[i:i + phi], *pad]]
+              for zs in (xs, ys))
+    flat = _kronecker(xs, ys, span)
+    coords = flat[:phi]
+    for c, row in zip(flat[phi:span], _reduction_rows(order)[phi:span]):
+        if c:
+            coords = [x + c * r for x, r in zip(coords, row)]
+    return coords
+
+
+def field_operands(order, rng):
+    """Named (xs, ys) coordinate lists for one order: dense, sparse, zero,
+    short and empty lists, with entries of 1 to 200 bits and either sign,
+    and lists longer than phi, of which only the first phi coordinates
+    count (n = 1 keeps the first coefficient of a series product)."""
+    phi = euler_phi(order)
+
+    def coords(length, bits, density=1.0):
+        return [rng.choice([-1, 1]) * rng.randint(1, (1 << rng.randint(1, bits)) - 1)
+                if rng.random() < density else 0 for _ in range(length)]
+
+    short = rng.randint(0, max(phi - 1, 0))
+    return {
+        "dense-small": (coords(phi, 4), coords(phi, 4)),
+        "dense-200-bit": (coords(phi, 200), coords(phi, 200)),
+        "mixed-widths": (coords(phi, 200), coords(phi, 8)),
+        "sparse": (coords(phi, 64, 0.3), coords(phi, 64, 0.3)),
+        "zero": ([0] * phi, coords(phi, 200)),
+        "both-zero": ([0] * phi, [0] * phi),
+        "short": (coords(short, 100), coords(phi, 100)),
+        "both-short": (coords(short, 30), coords(rng.randint(0, phi), 30)),
+        "empty": ([], coords(phi, 50)),
+        "all-ones": ([1] * phi, [-1] * phi),
+        "past-phi": (coords(2 * phi, 60), coords(phi + 1, 60)),
+    }
+
+
+@pytest.mark.parametrize("orders", [range(2, 21), range(21, 41), range(41, 61)],
+                         ids=["2-20", "21-40", "41-60"])
+def test_field_mul_against_the_kronecker_route(orders):
+    for order in orders:
+        rng = random.Random(f"field-mul:{order}")
+        phi = euler_phi(order)
+        for seed in range(3):
+            for name, (xs, ys) in field_operands(order, rng).items():
+                want = kronecker_field_mul(xs, ys, order)
+                assert len(want) == phi
+                assert _mul(xs, ys, 1, order) == want, (order, seed, name)
+                assert _mul(ys, xs, 1, order) == kronecker_field_mul(ys, xs, order), \
+                    (order, seed, name)

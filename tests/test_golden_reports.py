@@ -11,6 +11,11 @@ the defining representation (odd, rho(T) a Jordan block), a direct sum of
 characters with entries of orders 1 and 12, and the seed-1 representations
 of the benchmark's ``enumerate`` and ``cyclo-det`` workloads, built by
 ``perfbench/inputs.py``, which is loaded from its file and only read.
+The ``analyze --enumerate`` hashes were recorded while the report built a
+``WeightMultiset`` per candidate; they pin the benchmark-sized text report
+(87,680 candidates), a JSON report, and the character direct sum over a
+range with negative k, with a total weight that keeps 14 candidates and
+with one that keeps none.
 """
 
 import hashlib
@@ -82,6 +87,25 @@ ANALYZE_SHA256 = {
     ("enumerate-1", "text"): "c8a56f897107e1895f2413ccacd1199ffffe6f89c1a49affb79af26aa999ddf1",
     ("cyclo-det-1", "json"): "dee40ca6271fc897c7b51971a9d9de5821958512ed4ca8ac851147fefb9c93fb",
     ("cyclo-det-1", "text"): "3b90815f85247d3d74175dce3c9f1c9ac4dbe9e1363db8c728a4f5fc330c431e",
+}
+
+ENUMERATE_SHA256 = {
+    ("enumerate-1", "--kmax 23", "text"):
+        "96b8eb57698922e2a882c6e3f65184318709c70835a3c2cf8126a334f2b9ce9d",
+    ("enumerate-1", "--kmax 11", "json"):
+        "cc32e4214b3dd35b54aad1df99a4afc5084d6a7481b87257e08296e7166f1350",
+    ("kappa-0-2-4", "--kmin -7 --kmax 9", "text"):
+        "fb458acacb83d13c8ce3ac72b2605a1987aab3ab5936f281df4df81126aece44",
+    ("kappa-0-2-4", "--kmin -7 --kmax 9", "json"):
+        "bab68a186eec88d02a7d0a5dda0a09c069d53b15735e963ee5df26e9faa9990f",
+    ("kappa-0-2-4", "--kmin -7 --kmax 9 --sum 18", "text"):
+        "1e0fd8a83eeb7c3accfeda7c6cd44fc2ffdb57209ad39b78340e08d9a22a3110",
+    ("kappa-0-2-4", "--kmin -7 --kmax 9 --sum 18", "json"):
+        "405e4a95549f833abc8af930b8696bc101429edac1889dd3fec4b61ca78fe912",
+    ("kappa-0-2-4", "--kmin -7 --kmax 9 --sum 8", "text"):
+        "6f2c2e9115eb9fe37733cbb1b9b759cd6eb6ba9a788ab598ff993493f5519837",
+    ("kappa-0-2-4", "--kmin -7 --kmax 9 --sum 8", "json"):
+        "4b1a523d27ceb5dc15bc6b43f48f65cbca9419a8b863dcd7f84d7619a8247e52",
 }
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,3 +182,11 @@ def test_analyze_report_bytes(name, fmt, tmp_path, capsys):
     if fmt == "text":
         assert ("warning: rho(T) is not semisimple" in out) is (name == "defining")
     assert _sha256(out) == ANALYZE_SHA256[name, fmt]
+
+
+@pytest.mark.parametrize("name, extra, fmt", sorted(ENUMERATE_SHA256))
+def test_analyze_enumerate_report_bytes(name, extra, fmt, tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_analyze_input(name)), encoding="utf-8")
+    out = _report(["analyze", str(path), "--enumerate", *extra.split(), "--format", fmt], capsys)
+    assert _sha256(out) == ENUMERATE_SHA256[name, extra, fmt]

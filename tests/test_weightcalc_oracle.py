@@ -7,14 +7,20 @@ as the reference: on seeded random requests, feasible or not, with negative
 k and with or without a total weight, the class enumeration must return the
 same list, and ``count_weight_multisets`` must count the multisets the walk
 accepts before its total-weight filters.
+
+``text_line`` and ``json_row`` are how ``vvmf analyze --enumerate`` laid out
+each candidate while it built a ``WeightMultiset`` per candidate; the CLI's
+text lines and JSON entries, laid out from the k tuples, must equal them on
+the same requests.
 """
 
+import json
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from vvmf import weightcalc
+from vvmf import cli, weightcalc
 from vvmf.replib import Multiplicities
 from vvmf.weightcalc import (WeightMultiset, count_weight_multisets,
                              enumerate_weight_multisets)
@@ -50,6 +56,23 @@ def walk_weight_multisets(d: int, epsilon: int, mult: Multiplicities,
         out.append(WeightMultiset(epsilon, ks))
     out.sort(key=lambda w: w.ks)
     return out
+
+
+def text_line(ws: WeightMultiset) -> str:
+    return f"  k = {list(ws.ks)}  ->  weights {list(ws.weights)}"
+
+
+def json_row(ws: WeightMultiset) -> dict:
+    return {"epsilon": ws.epsilon, "ks": list(ws.ks), "weights": list(ws.weights)}
+
+
+def json_entry(row: dict) -> str:
+    """``row`` as the encoder lays it out inside a report's
+    ``candidate_multisets`` list."""
+    head, tail = '{\n  "candidate_multisets": [\n', "\n  ]\n}"
+    text = json.JSONEncoder(sort_keys=True, indent=2).encode({"candidate_multisets": [row]})
+    assert text.startswith(head) and text.endswith(tail)
+    return text[len(head):-len(tail)]
 
 
 def walk_count(d: int, mult: Multiplicities, k_min: int, k_max: int) -> int:
@@ -108,6 +131,19 @@ def test_enumeration_matches_the_walk(case):
         assert enumerate_weight_multisets(*request) == expected, request
 
 
+def test_small_requests_near_zero_match_the_walk():
+    # Every small request whose range starts at or just below k = 0, where
+    # the filter for a negative total weight starts to matter.
+    for d in range(1, 4):
+        for k_min in range(-3, 1):
+            for counts in product(range(d + 1), repeat=3):
+                mult = Multiplicities(*counts)
+                for epsilon in (0, 1):
+                    request = (d, epsilon, mult, k_min, k_min + 5)
+                    assert enumerate_weight_multisets(*request) == \
+                        walk_weight_multisets(*request), request
+
+
 def test_count_matches_the_walk_before_filtering():
     for d, epsilon, mult, k_min, k_max, _ in CASES[::2]:
         count = count_weight_multisets(d, mult, k_min, k_max)
@@ -149,3 +185,13 @@ def test_preconditions_match_the_walk():
             walk_weight_multisets(*args)
         with pytest.raises(ValueError):
             enumerate_weight_multisets(*args)
+
+
+@pytest.mark.parametrize("case", range(0, len(CASES), 30))
+def test_report_rows_match_the_multiset_layout(case):
+    for request, expected in zip(CASES[case:case + 30], EXPECTED[case:case + 30]):
+        rows = cli._Candidates(request[1], weightcalc._candidate_ks(*request))
+        assert list(rows.text_lines()) == [text_line(ws) for ws in expected], request
+        oracle_rows = [json_row(ws) for ws in expected]
+        assert list(rows) == oracle_rows, request
+        assert list(rows.json_entries()) == [json_entry(r) for r in oracle_rows], request
