@@ -138,9 +138,10 @@ def _mul(xs: list[int], ys: list[int], n: int, order: int) -> list[int]:
         return _kronecker(xs, ys, n)
     else:
         pad = [0] * (phi - 1)
-        xs, ys = ([v for i in range(0, min(len(zs), n * phi), phi)
-                   for v in [*zs[i:i + phi], *pad]] for zs in (xs, ys))
-        flat = _kronecker(xs, ys, n * span)
+        # One list twice stays one list, which _kronecker squares.
+        spaced = [[v for i in range(0, min(len(zs), n * phi), phi) for v in [*zs[i:i + phi], *pad]]
+                  for zs in ((xs,) if xs is ys else (xs, ys))]
+        flat = _kronecker(spaced[0], spaced[-1], n * span)
     rows = _reduction_rows(order)[phi:span]
     out = []
     for base in range(0, n * span, span):
@@ -177,26 +178,64 @@ def _slot_width(xs: list[int], ys: list[int], size: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+# From this many bytes of packed operand (slots times slot width) up,
+# _kronecker takes two half-size products instead of one; below it the
+# extra packing and decoding cost more than the smaller multiplies save.
+_TWO_POINT_BYTES = 1000
+
+
 def _kronecker(xs: list[int], ys: list[int], size: int) -> list[int]:
     """First ``size`` coefficients of the product of two integer polynomials
-    by one big-int multiply: whole-byte slots of ``_slot_width`` carry a bias
+    by big-int multiplies: whole-byte slots of ``_slot_width`` carry a bias
     of half their range, so they never borrow, and the mask drops every slot
-    from ``size`` up, whatever it holds."""
+    from ``size`` up, whatever it holds.  One list twice (xs is ys) is
+    packed once and squared.
+
+    From _TWO_POINT_BYTES up, Harvey's KS2 (arXiv:0712.4046): with W bits a
+    slot and E, O the even- and odd-indexed coefficients packed at W bits,
+    h+- = (E_x +- 2^(W/2) O_x) * (E_y +- 2^(W/2) O_y) are the product at
+    +-2^(W/2), so (h+ + h-)/2 packs its even coefficients and
+    (h+ - h-)/2^(W/2 + 1) its odd ones, at W bits a slot again."""
+    square = xs is ys
     xs, ys = xs[:size], ys[:size]
     width = _slot_width(xs, ys, size)
     if not width:
         return [0] * size
-    half, mask = 1 << (8 * width - 1), (1 << (8 * width * size)) - 1
-    packed = (_pack(xs, width) * _pack(ys, width) + _bias(size, width)) & mask
-    data = packed.to_bytes(size * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") - half
-            for i in range(0, size * width, width)]
+    if size * width < _TWO_POINT_BYTES:
+        x = _pack(xs, width)
+        return _unpack(x * (x if square else _pack(ys, width)), size, width)
+    # Each stage is dropped once the next is built, to bound the peak memory.
+    x_at = _two_points(xs, width)
+    y_at = x_at if square else _two_points(ys, width)
+    h_plus, h_minus = x_at[0] * y_at[0], x_at[1] * y_at[1]
+    del x_at, y_at
+    even, odd = h_plus + h_minus, h_plus - h_minus
+    del h_plus, h_minus
+    out = [0] * size
+    out[::2] = _unpack(even >> 1, (size + 1) // 2, width)
+    out[1::2] = _unpack(odd >> (4 * width + 1), size // 2, width)
+    return out
+
+
+def _two_points(values: list[int], width: int) -> tuple[int, int]:
+    """The polynomial at +2^(W/2) and -2^(W/2), W = 8 * width, from its even
+    and odd coefficients packed at W bits."""
+    even, odd = _pack(values[::2], width), _pack(values[1::2], width) << 4 * width
+    return even + odd, even - odd
 
 
 def _pack(values: list[int], width: int) -> int:
     half = 1 << (8 * width - 1)
     data = b"".join((v + half).to_bytes(width, "little") for v in values)
     return int.from_bytes(data, "little") - _bias(len(values), width)
+
+
+def _unpack(packed: int, count: int, width: int) -> list[int]:
+    """The first ``count`` slots of ``packed``, each within half a slot of 0."""
+    half, mask = 1 << (8 * width - 1), (1 << (8 * width * count)) - 1
+    data = ((packed + _bias(count, width)) & mask).to_bytes(count * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, count * width, width)]
 
 
 def _bias(count: int, width: int) -> int:
@@ -405,11 +444,6 @@ class CycNumber:
     __hash__ = None  # equality spans orders; identity hashing would lie
 
     # -- display and wire format -----------------------------------------
-
-    def to_complex(self) -> complex:
-        """Floating approximation, for display only; never used in checks."""
-        z = complex(math.cos(2 * math.pi / self.order), math.sin(2 * math.pi / self.order))
-        return sum((float(c) * z ** i for i, c in enumerate(self.coeffs) if c), 0j)
 
     def __str__(self) -> str:
         if self.is_zero():

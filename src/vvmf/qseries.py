@@ -156,10 +156,6 @@ class QSeries:
             raise ValueError("valuation of zero is undefined")
         return Fraction(self.lead, self.grid)
 
-    def pole_order(self) -> Fraction:
-        """Order of the pole at q=0: -valuation when negative, else 0."""
-        return max(-self.valuation(), Fraction(0))
-
     def valid_exponent(self) -> Fraction:
         """The expansion is trusted for exponents strictly below this."""
         return Fraction(self.valid_to, self.grid)
@@ -265,7 +261,8 @@ class QSeries:
             return QSeries.zero(valid, a.grid)
         step = math.gcd(a.step, b.step)
         n, order = -(-(valid - lead) // step), math.lcm(a.order, b.order)
-        nums = _mul(a._at(step, a.lead, n, order), b._at(step, b.lead, n, order), n, order)
+        xs = a._at(step, a.lead, n, order)
+        nums = _mul(xs, xs if b is a else b._at(step, b.lead, n, order), n, order)
         orders = _pair_orders(a._term_orders(step, a.lead, n), b._term_orders(step, b.lead, n),
                               n) if len(a._kinds() | b._kinds()) > 1 else None
         return QSeries._normal(a.grid, lead, valid, step, order, a.den * b.den, nums, orders)
@@ -339,13 +336,6 @@ class QSeries:
                 parts.append(f"{c}*{q}" if c.is_rational() else f"({c})*{q}")
         return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
                                   for t in parts[1:]) if parts else "0"
-
-    def factored_str(self) -> str:
-        """Rendering with the lead power pulled out: q^(a/D)*(c0 + c1*q^(1/D) + ...)."""
-        if self.is_zero():
-            return "0"
-        head, inner = self._exp_str(self.lead), self.shift(-self.lead, self.grid)
-        return f"{head}*({inner})" if head else str(inner)
 
     def __repr__(self) -> str:
         return f"QSeries(grid={self.grid}, lead={self.lead}, valid_to={self.valid_to}, {self})"

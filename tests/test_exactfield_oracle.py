@@ -13,6 +13,14 @@ truncated products, on seeded operands whose largest entries meet below the
 cut, at it, or only past it, where the mask drops them; and the slot width
 of ``_slot_width`` with the whole-list bound it refines.
 
+``kronecker_one_point`` is ``_kronecker`` as it was before the two-point
+route (Harvey's KS2) took the products from ``_TWO_POINT_BYTES`` of packed
+operand up: one product of the two packed operands at every size.
+``_kronecker`` must give the same coefficients, and those of ``schoolbook``,
+on both sides of that threshold, on odd and even sizes, unequal lengths, an
+empty operand and squares of one list; the test checks that both routes
+were taken.
+
 ``kronecker_field_mul`` is the route ``_mul`` took for two field elements
 (n = 1) before it convolved their coordinates directly: both padded into
 2*phi - 1 slots, one ``_kronecker`` product, then the reduction.  The direct
@@ -27,9 +35,9 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.exactfield import (_PAIRWISE_SLOTS, CycNumber, _kronecker, _mul, _poly_divmod,
-                             _poly_trim, _reduction_rows, _slot_width,
-                             cyclotomic_polynomial, euler_phi)
+from vvmf.exactfield import (_PAIRWISE_SLOTS, _TWO_POINT_BYTES, CycNumber, _bias, _kronecker,
+                             _mul, _pack, _poly_divmod, _poly_trim, _reduction_rows,
+                             _slot_width, cyclotomic_polynomial, euler_phi)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -274,6 +282,72 @@ def test_slot_width_refines_the_whole_list_bound(size):
                 assert got <= whole, name
     xs, ys = kernel_operands(size, 0)["both-high-halves-huge"]
     assert (_slot_width(xs, ys, size) < whole_list_width(xs, ys)) is (size >= _PAIRWISE_SLOTS)
+
+
+def kronecker_one_point(xs, ys, size):
+    """First ``size`` coefficients of xs * ys by one product of the packed
+    operands, as ``_kronecker`` computed them at every size."""
+    xs, ys = xs[:size], ys[:size]
+    width = _slot_width(xs, ys, size)
+    if not width:
+        return [0] * size
+    half, mask = 1 << (8 * width - 1), (1 << (8 * width * size)) - 1
+    packed = (_pack(xs, width) * _pack(ys, width) + _bias(size, width)) & mask
+    data = packed.to_bytes(size * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, size * width, width)]
+
+
+def at_width(size, width, rng):
+    """(xs, ys) of ``size`` entries whose product takes slots of exactly
+    ``width`` bytes: entries 0 or +-m, m about sqrt(2^(8*width - 8) / size),
+    and both lists start with m."""
+    m = math.isqrt((1 << (8 * width - 8)) // size)
+    xs, ys = ([m] + [rng.choice([-m, 0, m]) for _ in range(size - 1)] for _ in range(2))
+    assert _slot_width(xs, ys, size) == width
+    return xs, ys
+
+
+def two_point_operands(size, seed):
+    """``kernel_operands`` and pairs whose packed size lies just below and
+    at ``_TWO_POINT_BYTES``, so that every size up to it takes both routes, and
+    one coefficient times a list wide enough for the two-point route."""
+    rng = random.Random(f"two-point:{size}:{seed}")
+    cut = -(-_TWO_POINT_BYTES // size)
+    ops = kernel_operands(size, seed)
+    if cut > 1:
+        ops["just-below"] = at_width(size, cut - 1, rng)
+    ops["at-threshold"] = at_width(size, cut, rng)
+    # One coefficient times size wide ones: slots of cut + 1 bytes.
+    ops["one-by-wide"] = ([rng.choice([-1, 1])], [rng.choice([-1, 1]) << 8 * cut
+                                                  for _ in range(size)])
+    return ops
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 57, 128, 129, 301])
+def test_kronecker_routes_against_one_point_and_schoolbook(size):
+    routes = set()
+    for seed in range(2):
+        for name, (xs, ys) in two_point_operands(size, seed).items():
+            routes.add(size * _slot_width(xs[:size], ys[:size], size) >= _TWO_POINT_BYTES)
+            for a, b in ((xs, ys), (ys, xs), (xs, xs)):
+                got = _kronecker(a, b, size)
+                assert got == kronecker_one_point(a, b, size), name
+                assert got == schoolbook(a, b, size), name
+            assert _kronecker(xs, xs, size) == _kronecker(xs, list(xs), size), name
+    assert routes == {False, True}
+
+
+@pytest.mark.parametrize("order, n", [(1, 300), (12, 19), (12, 43), (12, 150)])
+def test_mul_squares_against_schoolbook(order, n):
+    """One list as both operands packs once: at phi 4 the spaced list is
+    shared, and n = 19, 43 and 150 put the kernel at 133, 301 and 1,050 slots."""
+    phi = euler_phi(order)
+    for name, (xs, _) in kernel_operands(n, 0).items():
+        xs = [v * (r == 0) + v % 7 * (r > 0) for v in xs for r in range(phi)]
+        want = schoolbook_field(xs, xs, n, order)
+        assert _mul(xs, xs, n, order) == want, name
+        assert _mul(xs, list(xs), n, order) == want, name
 
 
 @pytest.mark.parametrize("order, n", [(1, 127), (1, 128), (1, 129), (1, 300),

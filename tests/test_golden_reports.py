@@ -15,7 +15,10 @@ The ``analyze --enumerate`` hashes were recorded while the report built a
 ``WeightMultiset`` per candidate; they pin the benchmark-sized text report
 (87,680 candidates), a JSON report, and the character direct sum over a
 range with negative k, with a total weight that keeps 14 candidates and
-with one that keeps none.
+with one that keeps none.  The ``series`` hashes of J and f:-8 at order
+2048, whose Newton quotients and products run far above the two-point
+threshold of ``exactfield._kronecker``, were recorded while every product
+took the one-point route.
 """
 
 import hashlib
@@ -70,6 +73,10 @@ SERIES_AT_ORDER_SHA256 = {
     ("f:5", 8, "text"): "da77b636cb29b65329edf19c1443efb983c26d1ef065d5e1ca69dee503d8af5c",
     ("f:5", 512, "json"): "f72ec0ec79b681d028d61c632ce3242da5e2942a091ea2e92ac2505451a208f5",
     ("f:5", 512, "text"): "2ced96052ec05f7acfdd3274506ee9e07d398930923dce86c45e04de87625744",
+    ("J", 2048, "json"): "7f47ee3c510193052345d2451cf151d7cd3a54ee4073d5b6491dc28ad4f44630",
+    ("J", 2048, "text"): "a38146cca9d7493adaae8f16196221658f646265d4c676d8cf223931a11df0b0",
+    ("f:-8", 2048, "json"): "5311babcc1bd109b8e7859bdb9e765ec667b47c5f80f37d800965c9de0a0f250",
+    ("f:-8", 2048, "text"): "b3e65dcafa0160e53b5f6215dbadde72744cfd3ab306b3fcd034d92b4cb091a4",
 }
 
 SUITE_JSON_SHA256 = {

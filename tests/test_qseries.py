@@ -15,6 +15,21 @@ def poly(coeffs, lead=0, grid=1, valid_to=40):
     return QSeries.from_coeffs(coeffs, lead=lead, grid=grid, valid_to=valid_to)
 
 
+def pole_order(s):
+    """Order of the pole at q=0: -valuation when negative, else 0; the body
+    of the ``QSeries.pole_order`` that left the package, which had no caller."""
+    return max(-s.valuation(), Fraction(0))
+
+
+def factored_str(s):
+    """Rendering with the lead power pulled out: q^(a/D)*(c0 + c1*q^(1/D) + ...);
+    the body of the ``QSeries.factored_str`` that left the package."""
+    if s.is_zero():
+        return "0"
+    head, inner = s._exp_str(s.lead), s.shift(-s.lead, s.grid)
+    return f"{head}*({inner})" if head else str(inner)
+
+
 def test_product_example():
     a = poly([1, 0, 1], lead=-1)          # q^-1 + q
     b = poly([1, 1])                      # 1 + q
@@ -68,9 +83,9 @@ def test_valuation_examples():
 
 
 def test_pole_order():
-    assert poly([1], lead=-3).pole_order() == 3
-    assert poly([1], lead=2).pole_order() == 0
-    assert poly([1], lead=-5, grid=12, valid_to=10).pole_order() == Fraction(5, 12)
+    assert pole_order(poly([1], lead=-3)) == 3
+    assert pole_order(poly([1], lead=2)) == 0
+    assert pole_order(poly([1], lead=-5, grid=12, valid_to=10)) == Fraction(5, 12)
 
 
 def test_monomial():
@@ -219,7 +234,7 @@ def test_wire_round_trip():
 def test_text_renderings():
     j_like = poly([1, 0, 196884], lead=-1, valid_to=2)
     assert str(j_like) == "q^-1 + 196884*q"
-    assert j_like.factored_str() == "q^-1*(1 + 196884*q^2)"
+    assert factored_str(j_like) == "q^-1*(1 + 196884*q^2)"
     assert str(QSeries.zero(4)) == "0"
     d = poly([1, -2], lead=1, grid=12, valid_to=15)
     assert "q^(1/12)" in str(d)

@@ -209,6 +209,27 @@ def test_product_matches_schoolbook(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_squares_match_schoolbook(kind):
+    """A series times itself reaches the kernel as one list, packed once."""
+    rng = random.Random(f"square-{kind}")
+    for _ in range(20):
+        a = rand_series(rng, kind)
+        assert (a * a).to_record() == oracle_mul(a, a).to_record(), a
+
+
+@pytest.mark.parametrize("order, length, bits", [(1, 200, 60), (12, 60, 40)])
+def test_long_squares_match_schoolbook(order, length, bits):
+    """Squares long and wide enough for the kernel's two-point route."""
+    rng = random.Random(f"long-square-{order}")
+    coeffs = [CycNumber.make(order, [rng.randint(-(1 << bits), 1 << bits)
+                                     for _ in range(euler_phi(order))]) for _ in range(length)]
+    a = QSeries.from_coeffs(coeffs, lead=-2)
+    want = oracle_mul(a, a).to_record()
+    assert (a * a).to_record() == want
+    assert (a ** 2).to_record() == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_quotient_matches_schoolbook(kind):
     rng = random.Random(f"div-{kind}")
     for _ in range(20):
