@@ -541,13 +541,21 @@ def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
             for t in range(len(targets))]
 
 
-def parse_rational(text) -> Fraction:
-    """Parse the wire form of a rational: base-10 'p/q' or 'p', optional sign."""
+def parse_rational(text) -> int | Fraction:
+    """Parse the wire form of a rational: base-10 'p/q' or 'p', optional sign.
+
+    An int or a plain ASCII integer ('-' at most) comes back as an int, which
+    ``CycNumber`` stores as it is; every other form goes through Fraction.
+    """
     if isinstance(text, int):
-        return Fraction(text)
+        return int(text)
     if isinstance(text, Fraction):
         return text
-    return Fraction(str(text).replace("−", "-").strip())
+    text = str(text).replace("−", "-").strip()
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    return Fraction(text)
 
 
 def format_rational(value: Fraction) -> str:

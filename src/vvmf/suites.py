@@ -166,20 +166,22 @@ def _kappa_suite(order: int, seed: int) -> list[CaseResult]:
 
 def _sums_suite(order: int, seed: int) -> list[CaseResult]:
     rng = random.Random(seed)
+    chars = [linear_character(j) for j in range(12)]
+    char_mults = [multiplicities(c) for c in chars]
     cases = []
     for i in range(100):
         d = rng.randint(1, 6)
         eps = rng.randint(0, 1)
         js = sorted(2 * rng.randint(0, 5) + eps for _ in range(d))
-        parts = [linear_character(j) for j in js]
+        parts = [chars[j] for j in js]
         rep = parts[0]
         for part in parts[1:]:
             rep = direct_sum(rep, part)
         ws = WeightMultiset(eps, tuple(j // 2 for j in js))
         check = check_hilbert_poly(ws, rep)
         total = Multiplicities(0, 0, 0)
-        for part in parts:
-            total = total + multiplicities(part)
+        for j in js:
+            total = total + char_mults[j]
         mult = multiplicities(rep)
         additive = mult == total
         found = ws in enumerate_weight_multisets(d, eps, mult, 0, 5, sum_w=ws.weight_sum())
@@ -191,38 +193,42 @@ def _sums_suite(order: int, seed: int) -> list[CaseResult]:
 
 
 def _det_suite(order: int, seed: int) -> list[CaseResult]:
+    # Operands that several cases share are built once per run; every case
+    # still makes its own comparison.
     cases = []
     build = order + 2 + 2  # margin for the weight-shifted generators
+    chars = [linear_character(j) for j in range(12)]
     for m in range(6):
-        rep = linear_character(2 * m)
-        gen = FormVector.make(
-            2 * m,
-            [eta_squared(build + m) ** (2 * m) if m else QSeries.constant(1, build)])
+        gen = FormVector.make(2 * m, [_delta_power(2 * m, build + m)])
         wg = weak_generating_set([gen], [m], 0, build)
         try:
             ext = exterior_product(wg)
-            ok = det_zero(rep, order).agrees_with(ext.normalized)
+            ok = det_zero(chars[2 * m], order).agrees_with(ext.normalized)
             cases.append(_case(f"base-{m}", ok,
                                f"multiplicity formula vs generators at m={m}"))
         except PrecisionError as exc:
             cases.append(_case(f"base-{m}", False, str(exc)))
+    shifts = range(-6, 7)
+    eta_powers = {n: eta_squared(order + 2 + abs(n) // 12) ** n if n else
+                  QSeries.constant(1, order) for n in shifts}
+    det_zeros = {x: det_zero(chars[x], order + 1) for x in range(0, 12, 2)}
     for j in range(12):
-        for n in range(-6, 7):
+        for n in shifts:
             if (n - j) % 2 != 0:
                 continue
-            lhs = det_n(linear_character(j), n, order)
-            rhs = eta_squared(order + 2 + abs(n) // 12) ** n if n else \
-                QSeries.constant(1, order)
-            rhs = rhs * det_zero(linear_character((j - n) % 12), order + 1)
+            lhs = det_n(chars[j], n, order)
+            rhs = eta_powers[n] * det_zeros[(j - n) % 12]
             cases.append(_case(
                 f"shift-{j:02d}-{n + 6:02d}", lhs.agrees_with(rhs),
                 f"weight-shift identity fails at j={j}, n={n}"))
+    delta_powers = [_delta_power(a, build) for a in range(12)]
+    zero = QSeries.zero(12 * build, 12)
     for a in range(12):
         for b in range(a, 12):
             if (a - b) % 2 != 0:
                 continue
-            f1 = FormVector.make(a, [_delta_power(a, build), QSeries.zero(12 * build, 12)])
-            f2 = FormVector.make(b, [QSeries.zero(12 * build, 12), _delta_power(b, build)])
+            f1 = FormVector.make(a, [delta_powers[a], zero])
+            f2 = FormVector.make(b, [zero, delta_powers[b]])
             report = check_generator_determinant([f1, f2], [a, b], order)
             ok = report.passed and report.leading_coefficient == 1 \
                 and report.weight_sum == a + b

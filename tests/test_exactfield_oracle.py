@@ -27,6 +27,14 @@ were taken.
 route must give the same coordinates at every order from 2 to 60, on zero
 and short coordinate lists and on coordinates of 1 to 200 bits of either
 sign.
+
+``fraction_parse_rational`` is ``parse_rational`` as it was before plain
+integer strings skipped ``Fraction``.  On integers, signs, padding, digit
+separators, non-ASCII digits (where ``int`` and ``Fraction`` word their
+errors differently), decimals, exponents, a zero denominator and integers
+past Python's 4,300-digit conversion limit, ``parse_rational`` must give the
+same value or raise the same exception type with the same message, and
+``CycNumber.make`` the same element.
 """
 
 import math
@@ -37,7 +45,7 @@ import pytest
 
 from vvmf.exactfield import (_PAIRWISE_SLOTS, _TWO_POINT_BYTES, CycNumber, _bias, _kronecker,
                              _mul, _pack, _poly_divmod, _poly_trim, _reduction_rows,
-                             _slot_width, cyclotomic_polynomial, euler_phi)
+                             _slot_width, cyclotomic_polynomial, euler_phi, parse_rational)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -419,3 +427,35 @@ def test_field_mul_against_the_kronecker_route(orders):
                 assert _mul(xs, ys, 1, order) == want, (order, seed, name)
                 assert _mul(ys, xs, 1, order) == kronecker_field_mul(ys, xs, order), \
                     (order, seed, name)
+
+
+def fraction_parse_rational(text) -> Fraction:
+    """Parse the wire form of a rational: base-10 'p/q' or 'p', optional sign."""
+    if isinstance(text, int):
+        return Fraction(text)
+    if isinstance(text, Fraction):
+        return text
+    return Fraction(str(text).replace("−", "-").strip())
+
+
+def parse_outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+WIRE_STRINGS = ["+5", " 7 ", "−3", "007", "-0", "1_000", "1__0", "١٢", "²", "1.5", "1e3", "3/0",
+                "9" * 5000, "-" + "9" * 5000, "1" + "0" * 4299, "", "-", "--5", "- 5",
+                "3/4", " −5/2 ", "12345678901234567890", 12, -3, Fraction(2, 6)]
+
+
+@pytest.mark.parametrize("text", WIRE_STRINGS, ids=lambda t: repr(t)[:16])
+def test_parse_rational_against_the_fraction_parse(text):
+    got = parse_outcome(parse_rational, text)
+    want = parse_outcome(fraction_parse_rational, text)
+    assert got == want
+    if got[0] == "value":
+        assert type(got[1]) in (int, Fraction)
+        args = (text, "1/3")
+        assert CycNumber.make(3, args) == CycNumber(3, tuple(map(fraction_parse_rational, args)))

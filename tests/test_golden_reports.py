@@ -18,7 +18,10 @@ range with negative k, with a total weight that keeps 14 candidates and
 with one that keeps none.  The ``series`` hashes of J and f:-8 at order
 2048, whose Newton quotients and products run far above the two-point
 threshold of ``exactfield._kronecker``, were recorded while every product
-took the one-point route.
+took the one-point route.  The ``sums`` and ``counting`` suite hashes and the
+``verify det --order 8`` text report (the lowest order the CLI accepts) were
+recorded while every case of the det and sums suites built its own
+characters and shared forms.
 """
 
 import hashlib
@@ -83,7 +86,11 @@ SUITE_JSON_SHA256 = {
     "scalar": "cf13a97d46d8bdffedbc5fa804fdc38dcf1282972886569a8d869853687913bb",
     "det": "2fd0150095a71f6d9fec1b65c780ca9c62c28ed05c6a9569768bd42e238577d6",
     "kappa": "f728d9c954ca1ad3f1d35df4678376a6aa8fbc6c0b5a47305b781306d9dca547",
+    "sums": "30f7d6f7c57d0127bcbe3fb460d1d163d8db2a762e975d235caddbd9d76aa9fa",
+    "counting": "9d5d2ea505abadc33434579a98e1f13847f9da9e6facd4dcac15bc02e3f41ed8",
 }
+
+DET_SUITE_ORDER_8_TEXT_SHA256 = "e76f36584344ead2e7ee3db3685121d2e419ddc9c6b815cebb1555a02456e80c"
 
 ANALYZE_SHA256 = {
     ("defining", "json"): "cbbabdd0bee7403e7a57da378f24a3918ffaea239b60973b9e598459892593ce",
@@ -169,6 +176,11 @@ def test_series_report_bytes_at_order(name, order, fmt, capsys):
 def test_suite_json_report_bytes(suite, capsys):
     out = _report(["verify", suite, "--order", "32", "--format", "json"], capsys)
     assert _sha256(out) == SUITE_JSON_SHA256[suite]
+
+
+def test_det_suite_text_report_bytes_at_the_order_floor(capsys):
+    out = _report(["verify", "det", "--order", "8"], capsys)
+    assert _sha256(out) == DET_SUITE_ORDER_8_TEXT_SHA256
 
 
 def test_det_suite_matches_the_benchmark_reference(capsys):
