@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain, islice
@@ -20,7 +21,8 @@ from itertools import chain, islice
 from .detlab import (check_generator_determinant, det_zero,
                      exterior_product, generators_from_record,
                      weak_generating_set)
-from .errors import PrecisionError, RepValidationError, UsageError, VvmfError
+from .errors import PrecisionError, UsageError, VvmfError
+from .exactfield import MAX_ORDER as MAX_FIELD_ORDER
 from .replib import load_rep, multiplicities, t_is_semisimple, traces
 from .scalarforms import e4_e6_delta_order, gen_form_order, named_form
 from .suites import SUITE_NAMES, run_suite
@@ -193,7 +195,7 @@ def _load(path: str, parse):
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 
 
@@ -328,6 +330,10 @@ def cmd_det(args) -> int:
         raise UsageError(
             f"generators file has {len(vectors)} vectors but the "
             f"representation has dimension {rep.dimension}")
+    orders = sorted({c.order for v in vectors for c in v.components} - {1})
+    if math.lcm(*orders) > MAX_FIELD_ORDER:
+        raise UsageError(f"generator coefficients of cyclotomic orders {orders} combine to "
+                         f"order {math.lcm(*orders)}, above the supported bound {MAX_FIELD_ORDER}")
     weights = [v.weight for v in vectors]
     _check_det_size(weights, rep.epsilon, args.order)
     report = check_generator_determinant(vectors, weights, args.order)
@@ -377,7 +383,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (RepValidationError, VvmfError) as exc:
+    except VvmfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

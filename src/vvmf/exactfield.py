@@ -52,32 +52,13 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder of polynomials (constant term first) over Q or
-    Q(zeta); den[-1] must be nonzero."""
-    num = list(num)
-    inv = Fraction(1) / den[-1]
-    quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = quot[i] = num[i + len(den) - 1] * inv
-        if c != 0:
-            for j, d in enumerate(den):
-                num[i + j] = num[i + j] - c * d
-    return _poly_trim(quot), _poly_trim(num[:len(den) - 1])
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the cyclotomic polynomial Phi_order.
 
     Monic, integer coefficients, degree euler_phi(order).  Computed by
-    dividing x^order - 1 by Phi_d for every proper divisor d.
+    dividing x^order - 1 by Phi_d for every proper divisor d, in integers,
+    as every Phi_d is monic.
 
     >>> cyclotomic_polynomial(3)
     (1, 1, 1)
@@ -89,10 +70,16 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if rem or any(c.denominator != 1 for c in poly):
+            # In place: poly[k:] ends as the quotient, poly[:k] as the remainder.
+            den = cyclotomic_polynomial(d)
+            k = len(den) - 1
+            for i in range(len(poly) - 1, k - 1, -1):
+                for j, x in enumerate(den[:k]):
+                    poly[i - k + j] -= poly[i] * x
+            if any(poly[:k]):
                 raise ArithmeticError("cyclotomic division was not exact")
-    return tuple(int(c) for c in poly)
+            poly = poly[k:]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -555,6 +542,12 @@ def parse_rational(text) -> int | Fraction:
     digits = text[1:] if text.startswith("-") else text
     if digits.isascii() and digits.isdigit():
         return int(text)
+    # Fraction would build 10^exponent: past the digit limit it is refused.
+    limit, (_, e, exponent) = sys.get_int_max_str_digits(), text.lower().rpartition("e")
+    magnitude = exponent.lstrip("+-").replace("_", "")
+    if e and limit and magnitude.isdecimal() and int(magnitude) > limit:
+        raise ValueError(f"the exponent of {text!r} passes {limit} in absolute value, "
+                         "Python's limit for integer-to-string conversion")
     return Fraction(text)
 
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import RepValidationError
-from .exactfield import (CycNumber, _check_order, _coerce, _poly_divmod, _poly_trim,
-                         _row_reduce, _solve_exact, root_of_unity)
+from .exactfield import (CycNumber, _check_order, _coerce, _row_reduce, _solve_exact,
+                         root_of_unity)
 
 Matrix = tuple[tuple[CycNumber, ...], ...]
 
@@ -272,31 +271,34 @@ class Multiplicities:
                               self.beta2 + other.beta2)
 
 
-def _eisenstein_coords(value: CycNumber) -> tuple[Fraction, Fraction]:
-    """Write a cyclotomic number as u + v*zeta_3; ValueError if impossible."""
-    lifted = value.lift(math.lcm(value.order, 3))
-    reduced = lifted.reduce_order_to(3)
-    return reduced.coeffs[0], reduced.coeffs[1]
+def _subfield(value: CycNumber, order: int) -> CycNumber:
+    """``value`` at ``order``, read first in Q(zeta_gcd(value.order, order)), so
+    that no lift passes either order; ValueError when it does not lie there."""
+    return value.reduce_order_to(math.gcd(value.order, order)).lift(order)
 
 
 def multiplicities(rep: RepSpec) -> Multiplicities:
     """Recover (alpha, beta1, beta2) of the evenized representation from
     traces: Tr S = d - 2*alpha and Tr U = (d - beta1 - 2*beta2) + (beta1 -
-    beta2)*zeta_3.  Non-integral or out-of-range solutions mean the input
-    cannot be a pure-parity representation.
+    beta2)*zeta_3.  An odd representation is evenized by kappa^-1, which
+    scales Tr S and Tr U by its values on S and U.  Non-integral or
+    out-of-range solutions mean the input cannot be a pure-parity
+    representation.
     """
-    rdot = rep if rep.epsilon == 0 else twist(rep, -1)
     d = rep.dimension
-    data = traces(rdot)
     bad = RepValidationError(
         "trace data inconsistent with the eigenvalue relations "
         "(is this really a pure-parity representation?)"
     )
     try:
-        ts = data.s.as_rational()
-        u, v = _eisenstein_coords(data.u)
+        ts, tu = _mat_trace(rep.s), _subfield(_mat_trace(rep.u()), 3)
+        if rep.epsilon:
+            ts = _subfield(ts, 4) * character_value("S", -1)
+            tu = _subfield(tu * character_value("U", -1), 3)
+        ts = ts.as_rational()
     except ValueError:
         raise bad from None
+    u, v = tu.coeffs
     if ts.denominator != 1 or u.denominator != 1 or v.denominator != 1:
         raise bad
     if (d - ts) % 2 != 0 or (d - u - v) % 3 != 0:
@@ -318,9 +320,18 @@ def t_is_semisimple(rep: RepSpec) -> bool:
     but belong to the logarithmic setting, where the weight machinery here
     does not apply; reports flag them instead of rejecting.
     """
-    minpoly = _min_poly(rep.t)
-    deriv = [c * i for i, c in enumerate(minpoly)][1:]
-    return len(_poly_gcd(minpoly, deriv)) == 1
+    return _squarefree(_min_poly(rep.t))
+
+
+def _squarefree(p: list[CycNumber]) -> bool:
+    """Whether gcd(p, p') = 1 (coefficients constant-first, p[-1] != 0, deg
+    p = n >= 1): whether the (2n-1)x(2n-1) Sylvester matrix of p and p', n - 1
+    shifted rows of p over n of p', is nonsingular."""
+    n, zero = len(p) - 1, CycNumber.zero()
+    deriv = [c * i for i, c in enumerate(p)][1:]
+    rows = [[zero] * i + q + [zero] * (2 * n - 1 - i - len(q))
+            for q, count in ((p, n - 1), (deriv, n)) for i in range(count)]
+    return len(_row_reduce(rows, 2 * n - 1)) == 2 * n - 1
 
 
 def _min_poly(m: Matrix) -> list[CycNumber]:
@@ -334,14 +345,3 @@ def _min_poly(m: Matrix) -> list[CycNumber]:
     pivots = _row_reduce(aug, d + 1)
     deg = next(c for c in range(d + 1) if c == len(pivots) or pivots[c] != c)
     return [-aug[i][deg] for i in range(deg)] + [CycNumber.one()]
-
-
-def _poly_gcd(a: list[CycNumber], b: list[CycNumber]) -> list[CycNumber]:
-    """Monic gcd over the cyclotomic field (coefficients constant-first)."""
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a

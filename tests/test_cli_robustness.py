@@ -4,7 +4,11 @@ Each run goes through ``cli.main`` in-process, at the ``--order 8`` floor
 and at legal extremes: a negative ``--kmin``, ``f:-0``, a negative
 ``--seed``, an ``--output`` file, ``det`` reports whose numbers pass
 Python's limit on integer-to-string conversion (4,300 digits by default),
-the largest poles, absurd declared weights and a closed stdout.
+the largest poles, absurd declared weights and a closed stdout; and on
+inputs that once raised or hung: JSON nested past the recursion limit, an
+exponent that would build a 30-million-digit integer, generators whose
+coefficient orders combine past 360, and valid representations over
+Q(zeta_280) and Q(zeta_35), whose traces lie in smaller fields.
 An exception escaping ``main`` would be a traceback, so it fails the test.
 """
 
@@ -13,11 +17,12 @@ import os
 import sys
 
 import pytest
+from test_replib_oracle import DEFINING, EVEN_2, _conjugated
 
 from vvmf.cli import main
 from vvmf.detlab import FormVector, generators_to_record
 from vvmf.errors import UsageError
-from vvmf.exactfield import CycNumber
+from vvmf.exactfield import CycNumber, root_of_unity
 from vvmf.qseries import QSeries
 from vvmf.replib import direct_sum, linear_character
 from vvmf.scalarforms import FORM_NAMES, eta_squared
@@ -40,6 +45,8 @@ def files(tmp_path):
     build = 60
     d2, d4 = eta_squared(build) ** 2, eta_squared(build) ** 4
     zero12 = QSeries.zero(12 * build, 12)
+    z16, z45 = (QSeries.constant(root_of_unity(n, 1), 60) for n in (16, 45))
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     return {
         "rep": _write(tmp_path / "kappa2.json", linear_character(2).to_record()),
         "sum_rep": _write(tmp_path / "k2k4.json",
@@ -52,6 +59,14 @@ def files(tmp_path):
         "big_rep": _write(tmp_path / "trivial2.json", trivial2.to_record()),
         "big_gens": _write(tmp_path / "two-big.json", generators_to_record("trivial2", [
             FormVector.make(0, [big, zero]), FormVector.make(0, [zero, big])])),
+        "orders720": _write(tmp_path / "z16-z45.json", generators_to_record("trivial2", [
+            FormVector.make(0, [z16, zero]), FormVector.make(0, [zero, z45])])),
+        "deep": str(tmp_path / "deep.json"),
+        "exponent": _write(tmp_path / "exponent.json", {
+            "S": [[{"order": 1, "coeffs": ["1e30000000"]}]],
+            "T": [[{"order": 1, "coeffs": ["1"]}]]}),
+        "even280": _write(tmp_path / "even280.json", _conjugated(EVEN_2, 280).to_record()),
+        "odd35": _write(tmp_path / "odd35.json", _conjugated(DEFINING, 35).to_record()),
         "out": str(tmp_path / "report.out"),
     }
 
@@ -70,6 +85,13 @@ SWEEP = [
     ["det", "{one_big}", "{one_rep}"],
     ["det", "{big_gens}", "{big_rep}"],
     ["det", "{big_gens}", "{big_rep}", "--format", "json"],
+    ["det", "{orders720}", "{big_rep}"],
+    ["analyze", "{deep}"],
+    ["det", "{deep}", "{big_rep}"],
+    ["det", "{big_gens}", "{deep}"],
+    ["analyze", "{exponent}"],
+    ["analyze", "{even280}", "--enumerate"],
+    ["analyze", "{odd35}", "--enumerate", "--format", "json"],
 ]
 
 
@@ -170,3 +192,40 @@ def test_closed_stdout_is_usage_error(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "stdout was closed" in err
     assert (tmp_path / "stdout").read_bytes() == b""
+
+
+def _usage_error(argv, capsys) -> str:
+    assert main(argv + ["--order", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{deep}"], ["det", "{deep}", "{big_rep}"],
+                                  ["det", "{big_gens}", "{deep}"]], ids=" ".join)
+def test_deep_nesting_is_malformed_input(argv, files, capsys):
+    err = _usage_error([a.format(**files) for a in argv], capsys)
+    assert f"{files['deep']}: malformed input (RecursionError" in err
+
+
+def test_exponent_past_the_digit_limit_is_malformed_input(files, capsys):
+    err = _usage_error(["analyze", files["exponent"]], capsys)
+    assert "malformed input (ValueError: the exponent of '1e30000000'" in err
+
+
+def test_det_refuses_orders_that_combine_past_the_bound(files, capsys):
+    err = _usage_error(["det", files["orders720"], files["big_rep"]], capsys)
+    assert "cyclotomic orders [16, 45] combine to order 720, above the supported bound 360" in err
+
+
+@pytest.mark.parametrize("key,parity,expected", [("even280", 0, [1, 1, 1]),
+                                                 ("odd35", 1, [1, 0, 1])])
+def test_traces_are_read_in_their_own_field(key, parity, expected, files, capsys):
+    assert main(["analyze", files[key], "--order", "8", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["parity"] == parity
+    m = payload["multiplicities"]
+    assert [m["alpha"], m["beta1"], m["beta2"]] == expected

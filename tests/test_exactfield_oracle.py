@@ -28,24 +28,32 @@ route must give the same coordinates at every order from 2 to 60, on zero
 and short coordinate lists and on coordinates of 1 to 200 bits of either
 sign.
 
+``fraction_cyclotomic_polynomial`` is ``cyclotomic_polynomial`` as it was
+before it divided in ints: ``_poly_divmod`` (kept here with ``_poly_trim``,
+which ``_poly_ext_inverse`` also uses) over Fractions.  The integer division
+must give the same tuple, all ints, for every order from 1 to 360.
+
 ``fraction_parse_rational`` is ``parse_rational`` as it was before plain
 integer strings skipped ``Fraction``.  On integers, signs, padding, digit
 separators, non-ASCII digits (where ``int`` and ``Fraction`` word their
 errors differently), decimals, exponents, a zero denominator and integers
 past Python's 4,300-digit conversion limit, ``parse_rational`` must give the
 same value or raise the same exception type with the same message, and
-``CycNumber.make`` the same element.
+``CycNumber.make`` the same element.  An exponent past that limit is
+refused with a ValueError before ``Fraction`` builds 10^exponent.
 """
 
+import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from vvmf.exactfield import (_PAIRWISE_SLOTS, _TWO_POINT_BYTES, CycNumber, _bias, _kronecker,
-                             _mul, _pack, _poly_divmod, _poly_trim, _reduction_rows,
-                             _slot_width, cyclotomic_polynomial, euler_phi, parse_rational)
+from vvmf.exactfield import (_PAIRWISE_SLOTS, _TWO_POINT_BYTES, MAX_ORDER, CycNumber, _bias,
+                             _kronecker, _mul, _pack, _reduction_rows, _slot_width,
+                             cyclotomic_polynomial, euler_phi, parse_rational)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -74,6 +82,44 @@ def _mul_mod(order: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tu
                 if row[j]:
                     out[j] += c * row[j]
     return tuple(out)
+
+
+def _poly_trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials (constant term first) over Q or
+    Q(zeta); den[-1] must be nonzero."""
+    num = list(num)
+    inv = Fraction(1) / den[-1]
+    quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = quot[i] = num[i + len(den) - 1] * inv
+        if c != 0:
+            for j, d in enumerate(den):
+                num[i + j] = num[i + j] - c * d
+    return _poly_trim(quot), _poly_trim(num[:len(den) - 1])
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Coefficients (constant first) of the cyclotomic polynomial Phi_order.
+
+    Monic, integer coefficients, degree euler_phi(order).  Computed by
+    dividing x^order - 1 by Phi_d for every proper divisor d.
+    """
+    if order < 1:
+        raise ValueError(f"cyclotomic order must be positive, got {order}")
+    poly = [-1] + [0] * (order - 1) + [1]
+    for d in range(1, order):
+        if order % d == 0:
+            poly, rem = _poly_divmod(poly, fraction_cyclotomic_polynomial(d))
+            if rem or any(c.denominator != 1 for c in poly):
+                raise ArithmeticError("cyclotomic division was not exact")
+    return tuple(int(c) for c in poly)
 
 
 def _poly_ext_inverse(coeffs: tuple[Fraction, ...], modulus: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -459,3 +505,29 @@ def test_parse_rational_against_the_fraction_parse(text):
         assert type(got[1]) in (int, Fraction)
         args = (text, "1/3")
         assert CycNumber.make(3, args) == CycNumber(3, tuple(map(fraction_parse_rational, args)))
+
+
+def test_cyclotomic_polynomial_against_the_fraction_division():
+    # __wrapped__ runs the integer division itself for every order, not the cache.
+    for n in range(1, MAX_ORDER + 1):
+        got = cyclotomic_polynomial.__wrapped__(n)
+        assert got == fraction_cyclotomic_polynomial(n), n
+        assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("text", ["1e30000000", "0e99999999", "1e-30000000", "1E+3_000_000"])
+def test_parse_rational_refuses_exponents_past_the_digit_limit(text):
+    with pytest.raises(ValueError, match="Python's limit for integer-to-string conversion"):
+        parse_rational(text)
+
+
+def test_parse_rational_exponents_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit}") == 10 ** limit
+    assert parse_rational(f"-2.5e-{limit}") == Fraction(-25, 10 ** (limit + 1))
+    try:
+        # With the limit off, the exponent is not bounded either.
+        sys.set_int_max_str_digits(0)
+        assert parse_rational(f"1e{limit + 1}") == 10 ** (limit + 1)
+    finally:
+        sys.set_int_max_str_digits(limit)

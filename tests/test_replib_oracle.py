@@ -14,27 +14,47 @@ twists and direct sums reach rho(U) another way and match by value.
 the solver for each degree.  ``_solve_exact`` is now ``_row_reduce`` plus a
 read-out; its oracle is the single loop it was split from.
 
+``t_is_semisimple`` asks ``_squarefree`` whether the Sylvester matrix of the
+minimal polynomial p and p' is nonsingular, by one ``_row_reduce``; its
+oracle ``_poly_gcd`` runs Euclid over the field, with ``_poly_divmod`` from
+``test_exactfield_oracle``.  They are compared on Jordan blocks and on random
+polynomials over Q(zeta_12) of degree 1 to 8, with and without repeated
+roots.
+
+``multiplicities`` reads Tr U in Q(zeta_3), and an odd representation's Tr S
+in Q(i), before any lift, and scales the traces by the values of kappa^-1
+instead of twisting the matrices; ``oracle_multiplicities`` lifted Tr U to
+lcm(N, 3) and twisted.  They must agree, result or error, on the seeded
+representations, their twists, direct sums and flipped parities; over
+Q(zeta_280) and Q(zeta_35), where the oracle passes the order bound, the new
+route must give the multiplicities of the unconjugated representation.
+
 Inputs are seeded conjugates P * M * P^-1 built by ``perfbench/inputs.py``
 (loaded from its file and only read), whose arithmetic is independent of
 vvmf: direct sums of characters, even and odd, and symmetric powers of the
 defining representation, where rho(T) is one Jordan block.
 """
 
+import dataclasses
 import functools
 import importlib.util
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_exactfield_oracle import _poly_divmod, _poly_trim
 
 from vvmf import replib
 from vvmf.cli import main
 from vvmf.detlab import det_n
+from vvmf.errors import RepValidationError
 from vvmf.exactfield import CycNumber, _solve_exact, euler_phi, root_of_unity
-from vvmf.replib import (TraceData, _mat_inv, _mat_mul, _mat_trace, _min_poly,
-                         _poly_gcd, direct_sum, load_rep, multiplicities,
-                         t_is_semisimple, traces, twist)
+from vvmf.replib import (Multiplicities, TraceData, _mat, _mat_inv, _mat_mul, _mat_trace,
+                         _min_poly, _squarefree, direct_sum, load_rep, make_rep,
+                         multiplicities, t_is_semisimple, traces, twist)
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
@@ -77,10 +97,58 @@ def oracle_min_poly(m):
     raise AssertionError("Cayley-Hamilton guarantees a dependence by degree d")
 
 
+def _poly_gcd(a: list[CycNumber], b: list[CycNumber]) -> list[CycNumber]:
+    """Monic gcd over the cyclotomic field (coefficients constant-first)."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
 def oracle_semisimple(m) -> bool:
     minpoly = oracle_min_poly(m)
     deriv = [c * i for i, c in enumerate(minpoly)][1:]
     return len(_poly_gcd(minpoly, deriv)) == 1
+
+
+def _eisenstein_coords(value: CycNumber) -> tuple[Fraction, Fraction]:
+    """Write a cyclotomic number as u + v*zeta_3; ValueError if impossible."""
+    lifted = value.lift(math.lcm(value.order, 3))
+    reduced = lifted.reduce_order_to(3)
+    return reduced.coeffs[0], reduced.coeffs[1]
+
+
+def oracle_multiplicities(rep) -> Multiplicities:
+    """Recover (alpha, beta1, beta2) of the evenized representation from
+    traces: Tr S = d - 2*alpha and Tr U = (d - beta1 - 2*beta2) + (beta1 -
+    beta2)*zeta_3.  Non-integral or out-of-range solutions mean the input
+    cannot be a pure-parity representation.
+    """
+    rdot = rep if rep.epsilon == 0 else twist(rep, -1)
+    d = rep.dimension
+    data = traces(rdot)
+    bad = RepValidationError(
+        "trace data inconsistent with the eigenvalue relations "
+        "(is this really a pure-parity representation?)"
+    )
+    try:
+        ts = data.s.as_rational()
+        u, v = _eisenstein_coords(data.u)
+    except ValueError:
+        raise bad from None
+    if ts.denominator != 1 or u.denominator != 1 or v.denominator != 1:
+        raise bad
+    if (d - ts) % 2 != 0 or (d - u - v) % 3 != 0:
+        raise bad
+    alpha = (d - int(ts)) // 2
+    beta2 = (d - int(u) - int(v)) // 3
+    beta1 = int(v) + beta2
+    if not (0 <= alpha <= d and beta1 >= 0 and beta2 >= 0 and beta1 + beta2 <= d):
+        raise bad
+    return Multiplicities(alpha, beta1, beta2)
 
 
 def oracle_solve_exact(columns, targets):
@@ -283,3 +351,132 @@ def test_inversions_run_once_per_validated_representation(monkeypatch, tmp_path,
         multiplicities(twist(bigger, 1))
         det_n(rep, rep.epsilon + 2, 8)
         assert calls == []
+
+
+# -- squarefree test by Sylvester rank ----------------------------------------
+
+def _poly_mul(a, b):
+    out = [CycNumber.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _euclid_squarefree(p) -> bool:
+    return len(_poly_gcd(p, [c * i for i, c in enumerate(p)][1:])) == 1
+
+
+def test_squarefree_against_euclid_on_random_polynomials():
+    rng = random.Random(15)
+
+    def element(nonzero=False):
+        while True:
+            x = CycNumber(12, tuple(rng.randint(-3, 3) for _ in range(4)), rng.randint(1, 3))
+            if not (nonzero and x.is_zero()):
+                return x
+
+    seen = set()
+    for degree in range(1, 9):
+        for trial in range(6):
+            repeated = trial % 2 == 1 and degree > 1
+            if trial < 4:
+                # Linear factors, one root taken twice when ``repeated``.
+                roots = [element() for _ in range(degree)]
+                if repeated:
+                    roots[-1] = roots[rng.randrange(degree - 1)]
+                p = [element(nonzero=True)]
+                for r in roots:
+                    p = _poly_mul(p, [-r, CycNumber.one()])
+            else:
+                # Dense: f * g^2 when ``repeated``, else random coefficients.
+                g = [element() for _ in range(degree // 2)] + [element(nonzero=True)]
+                f = [element() for _ in range(degree - 2 * (degree // 2))] + [element(nonzero=True)]
+                p = _poly_mul(f, _poly_mul(g, g)) if repeated else \
+                    [element() for _ in range(degree)] + [element(nonzero=True)]
+            assert len(p) == degree + 1
+            got = _squarefree(p)
+            assert got == _euclid_squarefree(p), (degree, trial)
+            if repeated:
+                assert not got
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_squarefree_on_jordan_blocks():
+    one, zero = CycNumber.one(), CycNumber.zero()
+    z = root_of_unity(12, 5)
+
+    def blocks(*parts):
+        """Block diagonal of Jordan blocks J_k(value), one per (value, k)."""
+        d = sum(k for _, k in parts)
+        m = [[zero] * d for _ in range(d)]
+        at = 0
+        for value, k in parts:
+            for i in range(at, at + k):
+                m[i][i] = value
+                if i + 1 < at + k:
+                    m[i][i + 1] = one
+            at += k
+        return tuple(map(tuple, m))
+
+    cases = [((one, 1),), ((one, 2),), ((z, 3),), ((z, 1), (z, 1), (-one, 1)),
+             ((z, 2), (z, 1), (-one, 1)), ((z, 1), (-one, 2)), ((z, 1), (z * z, 1), (one, 1)),
+             ((root_of_unity(3, 1), 1), (root_of_unity(4, 1), 2), (one, 1))]
+    for parts in cases:
+        m = blocks(*parts)
+        got = _squarefree(_min_poly(m))
+        assert got == oracle_semisimple(m), parts
+        assert got is all(k == 1 for _, k in parts), parts
+
+
+# -- multiplicities without twisting the matrices --------------------------------
+
+def _outcome(fn, rep):
+    try:
+        return fn(rep)
+    except RepValidationError as exc:
+        return str(exc)
+
+
+def test_multiplicities_match_the_twisting_route():
+    reps = [_rep(key) for key in sorted(RECORDS)] + list(_derived())
+    flipped = [dataclasses.replace(rep, epsilon=1 - rep.epsilon) for rep in reps]
+    kinds = set()
+    for rep in reps + flipped:
+        got = _outcome(multiplicities, rep)
+        assert got == _outcome(oracle_multiplicities, rep), rep.name
+        kinds.add((rep.epsilon, type(got)))
+    assert kinds == {(0, Multiplicities), (1, Multiplicities), (0, str), (1, str)}
+
+
+# rho(S), rho(T) of an even representation, T = U^2 S with U = [[0,-1],[1,-1]],
+# and of the defining representation, which is odd.
+EVEN_2 = ([[0, 1], [1, 0]], [[1, -1], [0, -1]])
+DEFINING = ([[0, -1], [1, 0]], [[1, 1], [0, 1]])
+
+
+def _conjugated(rows, order):
+    """The representation P * rows * P^-1, P = [[1, zeta_order], [0, 1]]."""
+    p = _mat([[1, root_of_unity(order, 1)], [0, 1]])
+    p_inv = _mat_inv(p)
+    return make_rep(f"conj-{order}", *(_mat_mul(_mat_mul(p, _mat(m)), p_inv) for m in rows))
+
+
+def test_multiplicities_over_fields_past_the_lift():
+    # Even, over Q(zeta_280): the lift of Tr U to lcm(280, 3) = 840 passes
+    # the order bound.
+    even = _conjugated(EVEN_2, 280)
+    assert (even.order, even.epsilon) == (280, 0)
+    assert multiplicities(even) == multiplicities(make_rep("plain", *EVEN_2)) == \
+        oracle_multiplicities(make_rep("plain", *EVEN_2)) == Multiplicities(1, 1, 1)
+    with pytest.raises(RepValidationError):
+        oracle_multiplicities(even)
+    # Odd, over Q(zeta_35): twisting by kappa^-1 would need order
+    # lcm(35, 12) = 420.
+    odd = _conjugated(DEFINING, 35)
+    assert (odd.order, odd.epsilon) == (35, 1)
+    assert multiplicities(odd) == multiplicities(make_rep("defining", *DEFINING)) == \
+        oracle_multiplicities(make_rep("defining", *DEFINING)) == Multiplicities(1, 0, 1)
+    with pytest.raises(ValueError, match="420"):
+        oracle_multiplicities(odd)
