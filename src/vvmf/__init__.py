@@ -22,7 +22,8 @@ from .weightcalc import (HilbertCheck, WeightMultiset, WeightProfile,
 from .detlab import (ExteriorProductResult, FormVector, GeneratorDeterminantReport,
                      check_generator_determinant, det_n, det_zero,
                      exterior_product, generators_from_record,
-                     generators_to_record, weak_generating_set)
+                     generators_to_record, shifted_exterior_product,
+                     weak_generating_set)
 from .suites import CaseResult, SuiteResult, run_suite
 
 __version__ = "0.1.0"
@@ -41,7 +42,8 @@ __all__ = [
     "generators_from_record", "generators_to_record", "hauptmodul",
     "linear_character", "load_rep", "make_rep", "matrices_equal",
     "multiplicities", "named_form", "remainder_carry", "remainders",
-    "root_of_unity", "run_suite", "split_by_parity", "t_is_semisimple",
+    "root_of_unity", "run_suite", "shifted_exterior_product", "split_by_parity",
+    "t_is_semisimple",
     "traces", "twist", "verify_gen_product",
     "weak_generating_set", "weight_profile",
 ]

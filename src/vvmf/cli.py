@@ -18,9 +18,11 @@ import os
 import sys
 from itertools import chain, islice
 
-from .detlab import (check_generator_determinant, det_zero,
+# exterior_product stays importable here: perfbench's tracing test reads it
+# as vvmf.cli.exterior_product.
+from .detlab import (check_generator_determinant, det_zero,  # noqa: F401
                      exterior_product, generators_from_record,
-                     weak_generating_set)
+                     shifted_exterior_product)
 from .errors import PrecisionError, UsageError, VvmfError
 from .exactfield import MAX_ORDER as MAX_FIELD_ORDER
 from .replib import load_rep, multiplicities, t_is_semisimple, traces
@@ -361,9 +363,8 @@ def cmd_det(args) -> int:
         if any((w - rep.epsilon) % 2 for w in weights):
             raise UsageError("generator weights must match the parity of the representation")
         ks = [(w - rep.epsilon) // 2 for w in weights]
-        weak = weak_generating_set(vectors, ks, 0, args.order)
-        ext = exterior_product(weak)
-        match = det_zero(rep, args.order).agrees_with(ext.normalized)
+        weak = shifted_exterior_product(report.exterior, vectors, ks, 0, args.order)
+        match = det_zero(rep, args.order).agrees_with(weak.normalized)
         payload["det_zero_match"] = match
         lines.append(f"weight-0 determinant vs multiplicity formula: "
                      f"{'ok' if match else 'MISMATCH'}")

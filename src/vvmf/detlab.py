@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import PrecisionError
 from .exactfield import CycNumber
 from .qseries import QSeries
-from .replib import RepSpec, multiplicities, twist
+from .replib import RepSpec, _twisted_multiplicities
 from .scalarforms import e4_e6_delta, gen_form
 
 
@@ -78,7 +78,11 @@ def exterior_product(vectors) -> ExteriorProductResult:
         raise ValueError("need at least one form vector")
     if any(len(v.components) != d for v in vectors):
         raise ValueError("system must be square: d vectors with d components each")
-    det = _determinant([[vectors[j].components[i] for j in range(d)] for i in range(d)])
+    return _split_lead(_determinant([[vectors[j].components[i] for j in range(d)]
+                                     for i in range(d)]))
+
+
+def _split_lead(det: QSeries) -> ExteriorProductResult:
     if det.is_zero():
         raise PrecisionError(
             "determinant indistinguishable from zero through the validity "
@@ -128,14 +132,15 @@ def det_zero(rep: RepSpec, order: int) -> QSeries:
 def det_n(rep: RepSpec, n: int, order: int) -> QSeries:
     """Normalized generating-set determinant in weight class n, reduced to
     the even weight-0 case through the weight-shifting twist:
-    delta^(n*d) * det_zero(rep twisted by -n).
+    delta^(n*d) * det_zero(rep twisted by -n), with the twist's
+    multiplicities read off the traces of ``rep``.
     """
     if (n - rep.epsilon) % 2 != 0:
         raise ValueError(
             f"weight class {n} does not match the parity {rep.epsilon} "
             "of the representation"
         )
-    mult = multiplicities(twist(rep, -n))
+    mult = _twisted_multiplicities(rep, -n)
     a = mult.beta1 + 2 * mult.beta2
     return e4_e6_delta(a, mult.alpha, n * rep.dimension - 4 * a - 6 * mult.alpha, order)
 
@@ -149,6 +154,35 @@ def weak_generating_set(vectors, ks, n: int, order: int) -> list[FormVector]:
     """
     vectors = list(vectors)
     ks = list(ks)
+    eps = _common_parity(vectors, ks)
+    out = []
+    for v, k in zip(vectors, ks):
+        f = gen_form(n - k, order)
+        out.append(FormVector(2 * n + eps,
+                              tuple(f * c for c in v.components)))
+    return out
+
+
+def shifted_exterior_product(ext: ExteriorProductResult, vectors, ks, n: int,
+                             order: int) -> ExteriorProductResult:
+    """The exterior product of ``weak_generating_set(vectors, ks, n, order)``,
+    given ``ext``, the exterior product of ``vectors``.
+
+    Column i of the weak set is column i of the generators times the scalar
+    form f_(n-k_i), so by multilinearity its determinant is
+    ext.determinant * prod f_(n-k_i): d series products, not a second
+    cofactor expansion.  Same checks and errors as the two-step route.
+    """
+    vectors, ks = list(vectors), list(ks)
+    _common_parity(vectors, ks)
+    det = ext.determinant
+    for k in ks:
+        det = det * gen_form(n - k, order)
+    return _split_lead(det)
+
+
+def _common_parity(vectors: list[FormVector], ks: list[int]) -> int:
+    """The epsilon with weight = 2*k + epsilon for every generator."""
     if len(vectors) != len(ks):
         raise ValueError("need one normalized weight per generator")
     eps = None
@@ -159,12 +193,7 @@ def weak_generating_set(vectors, ks, n: int, order: int) -> list[FormVector]:
                 f"weight {v.weight} is not 2*{k} + epsilon for a common parity"
             )
         eps = e
-    out = []
-    for v, k in zip(vectors, ks):
-        f = gen_form(n - k, order)
-        out.append(FormVector(2 * n + eps,
-                              tuple(f * c for c in v.components)))
-    return out
+    return eps
 
 
 @dataclass(frozen=True)
@@ -174,7 +203,11 @@ class GeneratorDeterminantReport:
     determinant_matches: bool
     weight_sum: int
     weight_sum_nonneg: bool
-    leading_coefficient: CycNumber
+    exterior: ExteriorProductResult
+
+    @property
+    def leading_coefficient(self) -> CycNumber:
+        return self.exterior.leading_coefficient
 
     @property
     def passed(self) -> bool:
@@ -199,5 +232,5 @@ def check_generator_determinant(vectors, weights, order: int) -> GeneratorDeterm
         determinant_matches=ext.normalized.agrees_with(e4_e6_delta(0, 0, total, order)),
         weight_sum=total,
         weight_sum_nonneg=total >= 0,
-        leading_coefficient=ext.leading_coefficient,
+        exterior=ext,
     )

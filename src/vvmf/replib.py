@@ -280,22 +280,28 @@ def _subfield(value: CycNumber, order: int) -> CycNumber:
 def multiplicities(rep: RepSpec) -> Multiplicities:
     """Recover (alpha, beta1, beta2) of the evenized representation from
     traces: Tr S = d - 2*alpha and Tr U = (d - beta1 - 2*beta2) + (beta1 -
-    beta2)*zeta_3.  An odd representation is evenized by kappa^-1, which
-    scales Tr S and Tr U by its values on S and U.  Non-integral or
-    out-of-range solutions mean the input cannot be a pure-parity
-    representation.
+    beta2)*zeta_3.  An odd representation is evenized by kappa^-1.
+    Non-integral or out-of-range solutions mean the input cannot be a
+    pure-parity representation.
     """
+    return _twisted_multiplicities(rep, -rep.epsilon)
+
+
+def _twisted_multiplicities(rep: RepSpec, j: int) -> Multiplicities:
+    """``multiplicities(twist(rep, j))`` for j of the parity of ``rep``,
+    without twisting the matrices: Tr S (read in Q(i) when j is odd, as
+    kappa^j(S) = (-i)^j) and Tr U (read in Q(zeta_3)) times kappa^j's values
+    on S and U, so no trace is lifted past the order of ``rep``."""
     d = rep.dimension
     bad = RepValidationError(
         "trace data inconsistent with the eigenvalue relations "
         "(is this really a pure-parity representation?)"
     )
     try:
-        ts, tu = _mat_trace(rep.s), _subfield(_mat_trace(rep.u()), 3)
-        if rep.epsilon:
-            ts = _subfield(ts, 4) * character_value("S", -1)
-            tu = _subfield(tu * character_value("U", -1), 3)
-        ts = ts.as_rational()
+        ts = _mat_trace(rep.s)
+        ts = ((_subfield(ts, 4) if j % 2 else ts) * character_value("S", j)).as_rational()
+        # kappa^j(U) = zeta_12^(8j) = zeta_3^(2j), taken in Q(zeta_3) as well.
+        tu = _subfield(_mat_trace(rep.u()), 3) * root_of_unity(3, 2 * j)
     except ValueError:
         raise bad from None
     u, v = tu.coeffs

@@ -21,7 +21,11 @@ threshold of ``exactfield._kronecker``, were recorded while every product
 took the one-point route.  The ``sums`` and ``counting`` suite hashes and the
 ``verify det --order 8`` text report (the lowest order the CLI accepts) were
 recorded while every case of the det and sums suites built its own
-characters and shared forms.
+characters and shared forms.  The ``det`` hashes were recorded while the
+weight-0 check ran a second cofactor expansion on the generators pushed to
+weight 0; they pin the seed-1 ``cyclo-det`` files at the benchmark's order
+and at the order floor, an odd direct sum (no weight-0 check) and an even
+one with misdeclared weights (exit 1).
 """
 
 import hashlib
@@ -32,7 +36,10 @@ from pathlib import Path
 import pytest
 
 from vvmf.cli import main
+from vvmf.detlab import FormVector, generators_to_record
+from vvmf.qseries import QSeries
 from vvmf.replib import direct_sum, linear_character
+from vvmf.scalarforms import eta_squared
 
 SERIES_SHA256 = {
     ("E4", "json"): "3972c978f9b92ec9ce87df8d85786a03b4710bb366605724689c5611b00fa8ab",
@@ -122,6 +129,26 @@ ENUMERATE_SHA256 = {
         "4b1a523d27ceb5dc15bc6b43f48f65cbca9419a8b863dcd7f84d7619a8247e52",
 }
 
+# (input name, order, format) -> (exit code, sha256 of the report)
+DET_SHA256 = {
+    ("cyclo-det-1", 32, "json"):
+        (0, "df57daf7acaa12f617a2c74784868a98dbd46a61e3f71e73f587eabfc5b7199b"),
+    ("cyclo-det-1", 32, "text"):
+        (0, "352ab7ca9e9d3c7e10f6caf98090bb114380501961f9e612778847f1f491c49b"),
+    ("cyclo-det-1", 8, "json"):
+        (0, "df57daf7acaa12f617a2c74784868a98dbd46a61e3f71e73f587eabfc5b7199b"),
+    ("cyclo-det-1", 8, "text"):
+        (0, "352ab7ca9e9d3c7e10f6caf98090bb114380501961f9e612778847f1f491c49b"),
+    ("odd-1-3", 24, "json"):
+        (0, "1685b4fdd56700463eed52635c7525c89e9d3bf61d7dad67911407ff54e19e92"),
+    ("odd-1-3", 24, "text"):
+        (0, "125e0b88973b9ddb996e131afab1f29429018fe5e00f01115b7d7056b82d2cec"),
+    ("misdeclared", 24, "json"):
+        (1, "5050a4fabbd53c7f19c48ac15d252271fcf02b242f3e4c4b261c0decfece87a0"),
+    ("misdeclared", 24, "text"):
+        (1, "b98643f036e68be9b18c8f3ef02f572ad92f5613d90dc13536a9302fcb37229f"),
+}
+
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "perfbench" / "inputs.py"
 DET_SUITE_REFERENCE = ROOT / "perfbench" / "reference" / "det-suite.txt"
@@ -152,12 +179,34 @@ def _analyze_input(name: str) -> dict:
         rep = direct_sum(direct_sum(linear_character(0), linear_character(2)),
                          linear_character(4))
         return rep.to_record()
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = _perfbench_inputs()
     if name == "enumerate-1":
         return inputs.enumerate_input(1)
     return inputs.cyclo_det_inputs(1)[1]
+
+
+def _perfbench_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def _det_input(name: str) -> tuple[dict, dict]:
+    """The generators and representation records behind each ``DET_SHA256`` key."""
+    if name == "cyclo-det-1":
+        return _perfbench_inputs().cyclo_det_inputs(1)
+    build = 60
+    zero = QSeries.zero(12 * build, 12)
+    if name == "odd-1-3":
+        rep = direct_sum(linear_character(1), linear_character(3))
+        gens = [FormVector.make(1, [eta_squared(build), zero]),
+                FormVector.make(3, [zero, eta_squared(build) ** 3])]
+    else:  # "misdeclared": kappa^2 (+) kappa^4 has weights 2 and 4, not 4 and 4
+        rep = direct_sum(linear_character(2), linear_character(4))
+        gens = [FormVector.make(4, [eta_squared(build) ** 2, zero]),
+                FormVector.make(4, [zero, eta_squared(build) ** 4])]
+    return generators_to_record(name, gens), rep.to_record()
 
 
 @pytest.mark.parametrize("name, fmt", sorted(SERIES_SHA256))
@@ -209,3 +258,15 @@ def test_analyze_enumerate_report_bytes(name, extra, fmt, tmp_path, capsys):
     path.write_text(json.dumps(_analyze_input(name)), encoding="utf-8")
     out = _report(["analyze", str(path), "--enumerate", *extra.split(), "--format", fmt], capsys)
     assert _sha256(out) == ENUMERATE_SHA256[name, extra, fmt]
+
+
+@pytest.mark.parametrize("name, order, fmt", sorted(DET_SHA256))
+def test_det_report_bytes(name, order, fmt, tmp_path, capsys):
+    gens, rep = _det_input(name)
+    (tmp_path / "gens.json").write_text(json.dumps(gens), encoding="utf-8")
+    (tmp_path / "rep.json").write_text(json.dumps(rep), encoding="utf-8")
+    code = main(["det", str(tmp_path / "gens.json"), str(tmp_path / "rep.json"),
+                 "--order", str(order), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert (code, _sha256(out)) == DET_SHA256[name, order, fmt]

@@ -28,6 +28,9 @@ lcm(N, 3) and twisted.  They must agree, result or error, on the seeded
 representations, their twists, direct sums and flipped parities; over
 Q(zeta_280) and Q(zeta_35), where the oracle passes the order bound, the new
 route must give the multiplicities of the unconjugated representation.
+``det_n`` reads the multiplicities of the twist by kappa^-n the same way;
+``oracle_det_n`` is its earlier body, which twisted the matrices, and the
+same comparisons hold for n = -3..3.
 
 Inputs are seeded conjugates P * M * P^-1 built by ``perfbench/inputs.py``
 (loaded from its file and only read), whose arithmetic is independent of
@@ -55,6 +58,7 @@ from vvmf.exactfield import CycNumber, _solve_exact, euler_phi, root_of_unity
 from vvmf.replib import (Multiplicities, TraceData, _mat, _mat_inv, _mat_mul, _mat_trace,
                          _min_poly, _squarefree, direct_sum, load_rep, make_rep,
                          multiplicities, t_is_semisimple, traces, twist)
+from vvmf.scalarforms import e4_e6_delta
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
@@ -149,6 +153,21 @@ def oracle_multiplicities(rep) -> Multiplicities:
     if not (0 <= alpha <= d and beta1 >= 0 and beta2 >= 0 and beta1 + beta2 <= d):
         raise bad
     return Multiplicities(alpha, beta1, beta2)
+
+
+def oracle_det_n(rep, n: int, order: int):
+    """Normalized generating-set determinant in weight class n, reduced to
+    the even weight-0 case through the weight-shifting twist:
+    delta^(n*d) * det_zero(rep twisted by -n).
+    """
+    if (n - rep.epsilon) % 2 != 0:
+        raise ValueError(
+            f"weight class {n} does not match the parity {rep.epsilon} "
+            "of the representation"
+        )
+    mult = multiplicities(twist(rep, -n))
+    a = mult.beta1 + 2 * mult.beta2
+    return e4_e6_delta(a, mult.alpha, n * rep.dimension - 4 * a - 6 * mult.alpha, order)
 
 
 def oracle_solve_exact(columns, targets):
@@ -480,3 +499,43 @@ def test_multiplicities_over_fields_past_the_lift():
         oracle_multiplicities(make_rep("defining", *DEFINING)) == Multiplicities(1, 0, 1)
     with pytest.raises(ValueError, match="420"):
         oracle_multiplicities(odd)
+
+
+def _det_n_outcome(route, rep, n):
+    try:
+        return route(rep, n, 8).to_record()
+    except (ValueError, RepValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_det_n_matches_the_twisting_route():
+    reps = [_rep(key) for key in sorted(RECORDS)] + list(_derived())
+    flipped = [dataclasses.replace(rep, epsilon=1 - rep.epsilon) for rep in reps]
+    kinds = set()
+    for rep in reps + flipped:
+        for n in range(-3, 4):
+            got = _det_n_outcome(det_n, rep, n)
+            assert got == _det_n_outcome(oracle_det_n, rep, n), (rep.name, n)
+            kinds.add(got[0] if isinstance(got, tuple) else dict)
+    assert kinds == {dict, ValueError, RepValidationError}
+
+
+def test_det_n_over_fields_past_the_twist():
+    """Over Q(zeta_280) and Q(zeta_35) ``det_n`` equals det_n of the
+    unconjugated representation for n = -3..3, and the twisting route
+    wherever it stays under the order bound."""
+    raised = []
+    for rows, order in ((EVEN_2, 280), (DEFINING, 35)):
+        conj, plain = _conjugated(rows, order), make_rep("plain", *rows)
+        for n in range(-3, 4):
+            got = _det_n_outcome(det_n, conj, n)
+            assert got == _det_n_outcome(det_n, plain, n) == \
+                _det_n_outcome(oracle_det_n, plain, n), (order, n)
+            if (n - conj.epsilon) % 2 == 0:
+                assert isinstance(got, dict), (order, n)
+            twisted = _det_n_outcome(oracle_det_n, conj, n)
+            if isinstance(twisted, tuple) and "exceeds the supported bound" in twisted[1]:
+                raised.append((order, n))
+            else:
+                assert got == twisted, (order, n)
+    assert raised == [(280, -2), (280, 2), (35, -3), (35, -1), (35, 1), (35, 3)]
