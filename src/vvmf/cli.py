@@ -25,10 +25,10 @@ from .detlab import (check_generator_determinant, det_zero,  # noqa: F401
                      shifted_exterior_product)
 from .errors import PrecisionError, UsageError, VvmfError
 from .exactfield import MAX_ORDER as MAX_FIELD_ORDER
-from .replib import load_rep, multiplicities, t_is_semisimple, traces
+from .replib import Multiplicities, load_rep, t_is_semisimple
 from .scalarforms import e4_e6_delta_order, gen_form_order, named_form
 from .suites import SUITE_NAMES, run_suite
-from .weightcalc import WeightProfile, _candidate_ks
+from .weightcalc import _candidate_ks, weight_profile
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -231,9 +231,8 @@ def cmd_analyze(args) -> int:
     if args.enumerate_ and args.kmin > args.kmax:
         raise UsageError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     rep = _load(args.rep_path, load_rep)
-    mult = multiplicities(rep)
-    data = traces(rep)
-    profile = WeightProfile.from_traces(mult, data)
+    profile = weight_profile(rep)
+    mult = Multiplicities(profile.count_k_odd, profile.count_k_mod3_1, profile.count_k_mod3_2)
     payload = {
         "schema_version": 1,
         "name": rep.name,
@@ -241,9 +240,9 @@ def cmd_analyze(args) -> int:
         "parity": rep.epsilon,
         "t_semisimple": t_is_semisimple(rep),
         "traces": {
-            "S": data.s.to_record(),
-            "U": data.u.to_record(),
-            "U_inv": data.u_inv.to_record(),
+            "S": profile.at_minus_i.to_record(),
+            "U": profile.at_zeta_inv.to_record(),
+            "U_inv": profile.at_zeta.to_record(),
         },
         "multiplicities": {
             "alpha": mult.alpha, "beta1": mult.beta1, "beta2": mult.beta2,
@@ -262,7 +261,7 @@ def cmd_analyze(args) -> int:
     lines = [
         f"representation {rep.name}: dimension {rep.dimension}, "
         f"parity {rep.epsilon}",
-        f"traces: S = {data.s}, U = {data.u}, U^-1 = {data.u_inv}",
+        f"traces: S = {profile.at_minus_i}, U = {profile.at_zeta_inv}, U^-1 = {profile.at_zeta}",
         f"multiplicities: alpha={mult.alpha} beta1={mult.beta1} "
         f"beta2={mult.beta2}",
         f"weight counts: odd={profile.count_k_odd} "

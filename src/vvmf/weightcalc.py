@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
 
 from .exactfield import CycNumber, root_of_unity
-from .replib import Multiplicities, RepSpec, TraceData, multiplicities, traces
+from .replib import Multiplicities, RepSpec, _counts, _subfield, traces
 
 # Evaluation points, all inside Q(zeta_12).
 MINUS_I = root_of_unity(12, 9)
@@ -85,29 +85,15 @@ class WeightProfile:
     at_zeta: CycNumber
     at_zeta_inv: CycNumber
 
-    @classmethod
-    def from_traces(cls, mult: Multiplicities, data: TraceData) -> WeightProfile:
-        """The profile of a representation with these multiplicities and
-        traces: P(-i) = Tr rho(S), and P at a primitive cube root equals the
-        trace of the inverse power of rho(U)."""
-        return cls(
-            count_k_odd=mult.alpha,
-            count_k_mod3_1=mult.beta1,
-            count_k_mod3_2=mult.beta2,
-            at_minus_i=data.s,
-            at_zeta=data.u_inv,
-            at_zeta_inv=data.u,
-        )
-
 
 def weight_profile(rep: RepSpec) -> WeightProfile:
-    """Trace-side values of the weight constraints.
-
-    The congruence counts come from the evenized representation's eigenvalue
-    multiplicities; the Hilbert values are direct traces
-    (``WeightProfile.from_traces``).
-    """
-    return WeightProfile.from_traces(multiplicities(rep), traces(rep))
+    """Trace-side values of the weight constraints, from one ``traces(rep)``:
+    the counts are the multiplicities, read as ``multiplicities`` reads them;
+    P(-i) = Tr rho(S), and P at a primitive cube root is the trace of the
+    inverse power of rho(U), each held as ``traces`` computes it."""
+    data = traces(rep)
+    mult = _counts(data, rep.dimension, -rep.epsilon)
+    return WeightProfile(mult.alpha, mult.beta1, mult.beta2, data.s, data.u_inv, data.u)
 
 
 @dataclass(frozen=True)
@@ -142,12 +128,25 @@ def check_hilbert_poly(ws: WeightMultiset, rep: RepSpec) -> HilbertCheck:
         )
     if ws.epsilon != rep.epsilon:
         raise ValueError("parity of the multiset does not match the representation")
-    profile = weight_profile(rep)
+    return _hilbert_check(ws, weight_profile(rep))
+
+
+def _hilbert_check(ws: WeightMultiset, profile: WeightProfile) -> HilbertCheck:
+    """``ws`` against every constraint of ``profile``.  Each trace is read in
+    Q(zeta_12), where P(z) lies, not P(z) at the order of the representation;
+    a trace outside Q(zeta_12) equals no value of P."""
+    def matches(z: CycNumber, trace: CycNumber) -> bool:
+        try:
+            trace = _subfield(trace, 12)
+        except ValueError:
+            return False
+        return ws.hilbert_value(z) == trace
+
     ks = ws.ks
     return HilbertCheck(
-        value_at_minus_i=ws.hilbert_value(MINUS_I) == profile.at_minus_i,
-        value_at_zeta=ws.hilbert_value(ZETA3) == profile.at_zeta,
-        value_at_zeta_inv=ws.hilbert_value(ZETA3_INV) == profile.at_zeta_inv,
+        value_at_minus_i=matches(MINUS_I, profile.at_minus_i),
+        value_at_zeta=matches(ZETA3, profile.at_zeta),
+        value_at_zeta_inv=matches(ZETA3_INV, profile.at_zeta_inv),
         count_odd=sum(1 for k in ks if k % 2 == 1) == profile.count_k_odd,
         count_mod3_1=sum(1 for k in ks if k % 3 == 1) == profile.count_k_mod3_1,
         count_mod3_2=sum(1 for k in ks if k % 3 == 2) == profile.count_k_mod3_2,

@@ -374,13 +374,12 @@ def test_candidate_json_blocks_match_the_encoder():
 
 
 def test_analyze_computes_the_traces_once(sum_rep_file, monkeypatch, capsys):
-    # One traces() and one multiplicities() call; for an even representation
-    # each evaluates rho(U) once.
+    # One traces() call, read by the weight profile, evaluates rho(U) once.
     calls = []
     u = RepSpec.u
     monkeypatch.setattr(RepSpec, "u", lambda self: calls.append(1) or u(self))
     assert main(["analyze", sum_rep_file, "--enumerate"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_k_range_is_ignored_without_enumerate(rep_file, capsys):
@@ -398,7 +397,7 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-@pytest.mark.parametrize("suite", ["scalar", "det", "kappa"])
+@pytest.mark.parametrize("suite", ["scalar", "det", "kappa", "sums"])
 def test_optimized_run_prints_the_same_report(suite):
     env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parent.parent))
     argv = ["-m", "vvmf.cli", "verify", suite, "--order", "8"]

@@ -11,6 +11,11 @@ the defining representation (odd, rho(T) a Jordan block), a direct sum of
 characters with entries of orders 1 and 12, and the seed-1 representations
 of the benchmark's ``enumerate`` and ``cyclo-det`` workloads, built by
 ``perfbench/inputs.py``, which is loaded from its file and only read.
+The ``analyze`` hashes of the even representation conjugated over
+Q(zeta_280) (``test_replib_oracle``) were recorded while ``analyze`` took
+its multiplicities and its traces on separate routes; they pin its traces
+as printed at order 280, although every reader of them reduces them to a
+subfield of Q(zeta_12).
 The ``analyze --enumerate`` hashes were recorded while the report built a
 ``WeightMultiset`` per candidate; they pin the benchmark-sized text report
 (87,680 candidates), a JSON report, and the character direct sum over a
@@ -34,6 +39,7 @@ import json
 from pathlib import Path
 
 import pytest
+from test_replib_oracle import EVEN_2, _conjugated
 
 from vvmf.cli import main
 from vvmf.detlab import FormVector, generators_to_record
@@ -106,6 +112,8 @@ ANALYZE_SHA256 = {
     ("kappa-0-2-4", "text"): "6af1877d55d0e05d5f95e11791df22fc9deb3a61e69225b1901d536f17771bf1",
     ("enumerate-1", "json"): "bb934fd73b3347894cd163e32fa609cb766d5828b5aa80b5adaecd2647c2a938",
     ("enumerate-1", "text"): "c8a56f897107e1895f2413ccacd1199ffffe6f89c1a49affb79af26aa999ddf1",
+    ("even-2-zeta280", "json"): "b3ce6f5f164d62b8b015f93da88025b28356fbb39d5053e1d969528169dd5754",
+    ("even-2-zeta280", "text"): "6a00915144f0b4dcac6d6285c50c69dbe6a5a2a3448bd2eb37407a0d92289560",
     ("cyclo-det-1", "json"): "dee40ca6271fc897c7b51971a9d9de5821958512ed4ca8ac851147fefb9c93fb",
     ("cyclo-det-1", "text"): "3b90815f85247d3d74175dce3c9f1c9ac4dbe9e1363db8c728a4f5fc330c431e",
 }
@@ -179,6 +187,8 @@ def _analyze_input(name: str) -> dict:
         rep = direct_sum(direct_sum(linear_character(0), linear_character(2)),
                          linear_character(4))
         return rep.to_record()
+    if name == "even-2-zeta280":
+        return _conjugated(EVEN_2, 280).to_record()
     inputs = _perfbench_inputs()
     if name == "enumerate-1":
         return inputs.enumerate_input(1)

@@ -30,7 +30,8 @@ Q(zeta_280) and Q(zeta_35), where the oracle passes the order bound, the new
 route must give the multiplicities of the unconjugated representation.
 ``det_n`` reads the multiplicities of the twist by kappa^-n the same way;
 ``oracle_det_n`` is its earlier body, which twisted the matrices, and the
-same comparisons hold for n = -3..3.
+same comparisons hold for n = -3..3.  ``direct_sum`` and ``twist`` refuse a
+combined cyclotomic order above the bound before building any matrix.
 
 Inputs are seeded conjugates P * M * P^-1 built by ``perfbench/inputs.py``
 (loaded from its file and only read), whose arithmetic is independent of
@@ -499,6 +500,20 @@ def test_multiplicities_over_fields_past_the_lift():
         oracle_multiplicities(make_rep("defining", *DEFINING)) == Multiplicities(1, 0, 1)
     with pytest.raises(ValueError, match="420"):
         oracle_multiplicities(odd)
+
+
+def test_sums_and_twists_past_the_order_bound_are_refused_up_front(monkeypatch):
+    # kappa^2 has order 12, so either combination with the Q(zeta_280)
+    # representation needs order 840; no matrix is built before the refusal.
+    even, kappa2 = _conjugated(EVEN_2, 280), replib.linear_character(2)
+    built = []
+    for name in ("_block_diag", "_mat_scale"):
+        monkeypatch.setattr(replib, name, lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="order 840 exceeds the supported bound"):
+        direct_sum(even, kappa2)
+    with pytest.raises(ValueError, match="order 840 exceeds the supported bound"):
+        twist(even, 2)
+    assert built == []
 
 
 def _det_n_outcome(route, rep, n):

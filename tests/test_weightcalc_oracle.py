@@ -12,17 +12,33 @@ accepts before its total-weight filters.
 each candidate while it built a ``WeightMultiset`` per candidate; the CLI's
 text lines and JSON entries, laid out from the k tuples, must equal them on
 the same requests.
+
+``check_hilbert_poly`` reads one ``weight_profile`` and compares each P(z),
+which lies in Q(zeta_12), with the trace read in Q(zeta_12).
+``oracle_check_hilbert_poly`` is its earlier body: separate
+``multiplicities`` and ``traces`` calls, and comparisons that lift P(z) and
+the trace to lcm(N, 12) for a representation of cyclotomic order N.  They
+must agree, result or error, on the seeded representations of
+``test_replib_oracle``, their twists and direct sums, and the same with the
+parity flipped, for every candidate with k in [0, 5] and a few wrong
+multisets.  Over Q(zeta_280) and Q(zeta_35), where the lift passes the
+order bound, the check must give what it gives on the unconjugated
+representation.
 """
 
+import dataclasses
 import json
 import random
 from itertools import combinations_with_replacement, product
 
 import pytest
+from test_replib_oracle import DEFINING, EVEN_2, RECORDS, _conjugated, _derived, _rep
 
 from vvmf import cli, weightcalc
-from vvmf.replib import Multiplicities
-from vvmf.weightcalc import (WeightMultiset, count_weight_multisets,
+from vvmf.errors import RepValidationError
+from vvmf.replib import Multiplicities, make_rep, multiplicities, traces
+from vvmf.weightcalc import (MINUS_I, ZETA3, ZETA3_INV, HilbertCheck, WeightMultiset,
+                             check_hilbert_poly, count_weight_multisets,
                              enumerate_weight_multisets)
 
 
@@ -195,3 +211,85 @@ def test_report_rows_match_the_multiset_layout(case):
         oracle_rows = [json_row(ws) for ws in expected]
         assert list(rows) == oracle_rows, request
         assert list(rows.json_entries()) == [json_entry(r) for r in oracle_rows], request
+
+
+# -- the Hilbert check without lifting -------------------------------------------
+
+def oracle_check_hilbert_poly(ws: WeightMultiset, rep) -> HilbertCheck:
+    """Test a candidate multiset against every trace constraint, exactly."""
+    if ws.size != rep.dimension:
+        raise ValueError(
+            f"multiset size {ws.size} does not match dimension {rep.dimension}"
+        )
+    if ws.epsilon != rep.epsilon:
+        raise ValueError("parity of the multiset does not match the representation")
+    mult, data = multiplicities(rep), traces(rep)
+    ks = ws.ks
+    return HilbertCheck(
+        value_at_minus_i=ws.hilbert_value(MINUS_I) == data.s,
+        value_at_zeta=ws.hilbert_value(ZETA3) == data.u_inv,
+        value_at_zeta_inv=ws.hilbert_value(ZETA3_INV) == data.u,
+        count_odd=sum(1 for k in ks if k % 2 == 1) == mult.alpha,
+        count_mod3_1=sum(1 for k in ks if k % 3 == 1) == mult.beta1,
+        count_mod3_2=sum(1 for k in ks if k % 3 == 2) == mult.beta2,
+        weight_sum=ws.weight_sum(),
+        weight_sum_nonneg=ws.weight_sum() >= 0,
+    )
+
+
+def _check_outcome(route, ws, rep):
+    try:
+        return route(ws, rep)
+    except (ValueError, RepValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _hilbert_multisets(rep) -> list[WeightMultiset]:
+    """Every candidate with k in [0, 5] (none when the traces are
+    inconsistent), then multisets that break the counts, the values, the
+    size and the parity."""
+    d, eps = rep.dimension, rep.epsilon
+    try:
+        found = enumerate_weight_multisets(d, eps, multiplicities(rep), 0, 5)
+    except RepValidationError:
+        found = []
+    return found + [WeightMultiset(eps, (0,) * d), WeightMultiset(eps, tuple(range(d))),
+                    WeightMultiset(eps, (6,) * d), WeightMultiset(eps, (0,) * (d + 1)),
+                    WeightMultiset(1 - eps, (0,) * d)]
+
+
+def test_hilbert_check_matches_the_lifting_route():
+    reps = [_rep(key) for key in sorted(RECORDS)] + list(_derived())
+    flipped = [dataclasses.replace(rep, epsilon=1 - rep.epsilon) for rep in reps]
+    kinds, checks = set(), 0
+    for rep in reps + flipped:
+        for ws in _hilbert_multisets(rep):
+            got = _check_outcome(check_hilbert_poly, ws, rep)
+            assert got == _check_outcome(oracle_check_hilbert_poly, ws, rep), (rep.name, ws)
+            kinds.add(got.passed if isinstance(got, HilbertCheck) else got[0])
+            checks += 1
+    assert kinds == {True, False, ValueError, RepValidationError}
+    assert checks > 1000
+
+
+def test_hilbert_check_over_fields_past_the_lift():
+    # Even over Q(zeta_280) and odd over Q(zeta_35): the lifting route needs
+    # order lcm(280, 12) = 840 and lcm(35, 12) = 420.
+    # A rational P(z) compares without the lift.
+    raised = {}
+    for rows, order in ((EVEN_2, 280), (DEFINING, 35)):
+        conj, plain = _conjugated(rows, order), make_rep("plain", *rows)
+        assert conj.order == order
+        results = set()
+        for ws in _hilbert_multisets(plain):
+            got = _check_outcome(check_hilbert_poly, ws, conj)
+            assert got == _check_outcome(check_hilbert_poly, ws, plain) == \
+                _check_outcome(oracle_check_hilbert_poly, ws, plain), (order, ws)
+            results.add(got.passed if isinstance(got, HilbertCheck) else got[0])
+            lifted = _check_outcome(oracle_check_hilbert_poly, ws, conj)
+            if isinstance(lifted, tuple) and "exceeds the supported bound" in lifted[1]:
+                raised[order] = raised.get(order, 0) + 1
+            else:
+                assert lifted == got, (order, ws)
+        assert results == {True, False, ValueError}, order
+    assert raised == {280: 4, 35: 5}
