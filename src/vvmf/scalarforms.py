@@ -6,13 +6,15 @@ pipelines and cross-checked at construction, since every later identity in
 the package leans on it.
 
 Caching is keyed by order and returns immutable series, so it is observably
-stateless.
+stateless.  The Euler powers behind every delta^k are kept for the eight
+newest exponents, each at the largest order asked so far, and smaller orders
+are sliced from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import ConsistencyError
 from .qseries import QSeries
@@ -75,6 +77,9 @@ def _pentagonal(order: int) -> list[tuple[int, int]]:
     return out
 
 
+_EULER_POWERS: dict[int, list[int]] = {}
+
+
 def _euler_power(s: int, order: int) -> QSeries:
     """prod_{n>=1} (1 - q^n)^s below q^order >= 1, for any integer s, by J. C. P.
     Miller's power recurrence over the pentagonal terms p_j of the product:
@@ -82,25 +87,37 @@ def _euler_power(s: int, order: int) -> QSeries:
     A_n = sum_j j*p_j*g_(n-j) and B_n = sum_j p_j*g_(n-j).  Every p_j is +-1,
     so that is O(order^1.5) small-by-big steps, and the division is exact.
     Its one caller is ``_e4_e6_delta``, the body of ``e4_e6_delta``,
-    ``gen_form``, ``eta_squared`` and the product side of ``discriminant``."""
+    ``gen_form``, ``eta_squared`` and the product side of ``discriminant``.
+
+    The coefficients of each s are kept at the largest order asked so far:
+    a smaller order slices them, and a larger one resumes the recurrence,
+    which is prefix-stable, into a new list that replaces the entry in one
+    assignment.  A published list is never mutated.  Eight exponents are
+    kept; a ninth drops the oldest, so the memo's memory stays bounded."""
     if s == 0:
         return QSeries.constant(1, order)
-    terms = _pentagonal(order)[1:]
-    g = [1] + [0] * (order - 1)
-    for n in range(1, order):
-        a = b = 0
-        for j, sign in terms:
-            if j > n:
-                break
-            x = g[n - j]
-            if sign > 0:
-                a += j * x
-                b += x
-            else:
-                a -= j * x
-                b -= x
-        g[n] = ((s + 1) * a - n * b) // n
-    return QSeries.from_coeffs(g, valid_to=order)
+    g = _EULER_POWERS.get(s, [1])
+    if len(g) < order:
+        start, g = len(g), g + [0] * (order - len(g))
+        terms = _pentagonal(order)[1:]
+        for n in range(start, order):
+            a = b = 0
+            for j, sign in terms:
+                if j > n:
+                    break
+                x = g[n - j]
+                if sign > 0:
+                    a += j * x
+                    b += x
+                else:
+                    a -= j * x
+                    b -= x
+            g[n] = ((s + 1) * a - n * b) // n
+        if s not in _EULER_POWERS:  # keep the newest eight exponents
+            for old in tuple(_EULER_POWERS)[:-7]:
+                _EULER_POWERS.pop(old, None)
+        _EULER_POWERS[s] = g
+    return QSeries.from_coeffs(g[:max(order, 1)], valid_to=order)
 
 
 @lru_cache(maxsize=None)
@@ -122,13 +139,14 @@ def _e4_e6_delta(a: int, b: int, k: int, pad: int) -> QSeries:
     """E4^a * E6^b * delta^k, delta^k = q^(k/12) * prod (1-q^n)^(2k), with every
     factor built to ``pad`` and no window check.  The one body of ``e4_e6_delta``,
     ``gen_form`` (Delta = delta^12), ``eta_squared`` and the product side of
-    ``discriminant``."""
+    ``discriminant``.
+
+    E4^a * E6^b is multiplied first, while its coefficients are small, and
+    delta^k once.  Both Eisenstein leads are 0, so the window ends where
+    (delta^k * E4^a) * E6^b would end it."""
     out = _euler_power(2 * k, pad).regrid(12).shift(k, 12)
-    if a:
-        out = out * eisenstein(4, pad) ** a
-    if b:
-        out = out * eisenstein(6, pad) ** b
-    return out
+    eis = [eisenstein(w, pad) ** e for w, e in ((4, a), (6, b)) if e]
+    return out * reduce(QSeries.__mul__, eis) if eis else out
 
 
 @lru_cache(maxsize=None)
@@ -219,16 +237,24 @@ def verify_gen_product(n: int, m: int, order: int) -> bool:
     by that lead.
 
     s3 and s2 are the remainder carries of (n, m) mod 3 and mod 2.  Raises
-    PrecisionError when the order leaves no comparison window.
+    PrecisionError when the order leaves no comparison window.  Both sides
+    are built by ``_verify_gen_product``, here with no side shared.
     """
+    return _verify_gen_product(n, m, order, {})
+
+
+def _verify_gen_product(n: int, m: int, order: int, sides: dict) -> bool:
+    """``verify_gen_product`` with the right sides of the total n + m at
+    ``order`` kept in ``sides`` by their carries (s3, s2): each is built
+    once, and one with s2 = 1 is the (s3, 0) side times J - 984."""
     lhs = gen_form(n, order) * gen_form(m, order)
-    rhs = gen_form(n + m, order)
-    j = hauptmodul(order)
-    if remainder_carry(n, m, 3):
-        rhs = rhs * (j + 744)
-    if remainder_carry(n, m, 2):
-        rhs = rhs * (j - 984)
-    return lhs.agrees_with(rhs)
+    s3, s2 = remainder_carry(n, m, 3), remainder_carry(n, m, 2)
+    if (s3, 0) not in sides:
+        rhs, j = gen_form(n + m, order), hauptmodul(order)
+        sides[s3, 0] = rhs * (j + 744) if s3 else rhs
+    if (s3, s2) not in sides:
+        sides[s3, s2] = sides[s3, 0] * (hauptmodul(order) - 984)
+    return lhs.agrees_with(sides[s3, s2])
 
 
 def count_congruent(xs, k: int, p: int) -> int:

@@ -15,9 +15,9 @@ from .detlab import (FormVector, check_generator_determinant, det_n, det_zero,
 from .errors import ConsistencyError, PrecisionError
 from .qseries import QSeries
 from .replib import Multiplicities, direct_sum, linear_character, multiplicities
-from .scalarforms import (count_congruent, discriminant, eisenstein,
-                          eta_squared, hauptmodul, remainder_carry,
-                          remainders, verify_gen_product)
+from .scalarforms import (_verify_gen_product, count_congruent, discriminant,
+                          eisenstein, eta_squared, hauptmodul, remainder_carry,
+                          remainders)
 from .weightcalc import (WeightMultiset, _hilbert_check, check_hilbert_poly,
                          dimension_series, enumerate_weight_multisets, weight_profile)
 
@@ -95,9 +95,11 @@ def _scalar_suite(order: int, seed: int) -> list[CaseResult]:
                        (e4 ** 3 / delta_big).agrees_with(j + 744)))
     cases.append(_case("06-hauptmodul-minus-984",
                        (e6 ** 2 / delta_big).agrees_with(j - 984)))
-    for n in range(-8, 9):
-        for m in range(n, 9):
-            ok = verify_gen_product(n, m, order)  # symmetric in n and m
+    for t in range(-16, 17):  # the right sides of one total n + m are shared
+        sides = {}
+        for n in range(max(-8, t - 8), t // 2 + 1):
+            m = t - n
+            ok = _verify_gen_product(n, m, order, sides)  # symmetric in n and m
             for a, b in {(n, m), (m, n)}:
                 cases.append(_case(
                     f"07-genprod-{a + 8:02d}-{b + 8:02d}", ok,

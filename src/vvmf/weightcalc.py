@@ -208,10 +208,20 @@ def _candidate_ks(d: int, epsilon: int, mult: Multiplicities, k_min: int,
     pools = _class_pools(k_min, k_max)
     out = []
     for ns in _class_counts(d, mult):
+        used = [(pool, n) for pool, n in zip(pools, ns) if n]
+        if sum_w is not None and used and used[-1][1] == 1:
+            # The total fixes the last class's one k: check it, do not walk.
+            half, odd = divmod(sum_w - d * epsilon, 2)
+            if sum_w >= 0 and not odd:
+                for rest in product(*(combinations_with_replacement(p, n) for p, n in used[:-1])):
+                    ks = [*chain.from_iterable(rest), half - sum(map(sum, rest))]
+                    if ks[-1] in used[-1][0]:
+                        out.append(tuple(sorted(ks)))
+            continue
         # The classes in use; a class with one k walks its range lazily,
         # so a wide range costs no memory.
         picks = [zip(pool) if n == 1 else combinations_with_replacement(pool, n)
-                 for pool, n in zip(pools, ns) if n]
+                 for pool, n in used]
         if len(picks) == 1:
             kss = picks[0]  # already sorted
         else:

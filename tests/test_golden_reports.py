@@ -30,7 +30,9 @@ characters and shared forms.  The ``det`` hashes were recorded while the
 weight-0 check ran a second cofactor expansion on the generators pushed to
 weight 0; they pin the seed-1 ``cyclo-det`` files at the benchmark's order
 and at the order floor, an odd direct sum (no weight-0 check) and an even
-one with misdeclared weights (exit 1).
+one with misdeclared weights (exit 1).  The ``verify scalar --order 8`` text
+report was recorded while every generator-product pair built its own right
+side.
 """
 
 import hashlib
@@ -104,6 +106,9 @@ SUITE_JSON_SHA256 = {
 }
 
 DET_SUITE_ORDER_8_TEXT_SHA256 = "e76f36584344ead2e7ee3db3685121d2e419ddc9c6b815cebb1555a02456e80c"
+
+SCALAR_SUITE_ORDER_8_TEXT_SHA256 = \
+    "e7295d2d08df86d8b76e42ea515074da16ca073c62b54b88a0dad65dff77719a"
 
 ANALYZE_SHA256 = {
     ("defining", "json"): "cbbabdd0bee7403e7a57da378f24a3918ffaea239b60973b9e598459892593ce",
@@ -240,6 +245,11 @@ def test_suite_json_report_bytes(suite, capsys):
 def test_det_suite_text_report_bytes_at_the_order_floor(capsys):
     out = _report(["verify", "det", "--order", "8"], capsys)
     assert _sha256(out) == DET_SUITE_ORDER_8_TEXT_SHA256
+
+
+def test_scalar_suite_text_report_bytes_at_the_order_floor(capsys):
+    out = _report(["verify", "scalar", "--order", "8"], capsys)
+    assert _sha256(out) == SCALAR_SUITE_ORDER_8_TEXT_SHA256
 
 
 def test_det_suite_matches_the_benchmark_reference(capsys):

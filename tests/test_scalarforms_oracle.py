@@ -12,6 +12,14 @@ constructions, kept verbatim: ``eta_squared(pad) ** k``,
 ``_euler_product``.  Every comparison is of ``to_record()``, so windows and
 grids must match too.
 
+``_euler_power`` keeps one coefficient list per exponent, for the newest
+eight exponents, at the largest order asked so far, slicing smaller orders
+and resuming the recurrence for larger ones.  ``oracle_euler_power`` is its body before that memo, kept
+verbatim: the recurrence run from scratch on every call.  Seeded rising and
+falling requests, and four threads extending one exponent at once, must get
+the oracle's series, and a series returned earlier must not change when its
+exponent's list is extended.
+
 ``verify_gen_product`` compares f_n * f_m with f_(n+m) * (J+744)^s3 *
 (J-984)^s2; its oracle is the quotient route it replaced, kept verbatim as
 ``oracle_verify_gen_product``, which divides by f_(n+m).  The two must give
@@ -19,6 +27,7 @@ the same bool or raise the same exception type, also on a corrupted f_n.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -59,6 +68,103 @@ def oracle_gen_form(n, order):
     if out.valid_exponent() < order:
         raise ConsistencyError(f"gen_form window ends at q^{out.valid_exponent()} < q^{order}")
     return out
+
+
+def oracle_euler_power(s: int, order: int) -> QSeries:
+    if s == 0:
+        return QSeries.constant(1, order)
+    terms = _pentagonal(order)[1:]
+    g = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        a = b = 0
+        for j, sign in terms:
+            if j > n:
+                break
+            x = g[n - j]
+            if sign > 0:
+                a += j * x
+                b += x
+            else:
+                a -= j * x
+                b -= x
+        g[n] = ((s + 1) * a - n * b) // n
+    return QSeries.from_coeffs(g, valid_to=order)
+
+
+def test_euler_power_memo_matches_the_recurrence_run_afresh(monkeypatch):
+    monkeypatch.setattr(scalarforms, "_EULER_POWERS", {})
+    rng = random.Random(19)
+    requests = [(rng.choice(EXPONENTS), rng.randint(1, 600)) for _ in range(60)]
+    requests += [(s, order) for s in EXPONENTS[:4] for order in (5, 1, 200, 3, 600, 599)]
+    returned = []
+    for s, order in requests:
+        got = _euler_power(s, order)
+        want = oracle_euler_power(s, order).to_record()
+        assert got.to_record() == want, (s, order)
+        returned.append((got, want))
+    for got, want in returned:  # later extensions left earlier series alone
+        assert got.to_record() == want
+    memo = scalarforms._EULER_POWERS
+    assert 0 < len(memo) <= 8 and 0 not in memo
+    for s, g in memo.items():
+        assert QSeries.from_coeffs(g).to_record() == oracle_euler_power(s, len(g)).to_record()
+
+
+def test_euler_power_memo_keeps_the_newest_eight_exponents(monkeypatch):
+    monkeypatch.setattr(scalarforms, "_EULER_POWERS", {})
+    for s in range(1, 10):
+        _euler_power(s, 30)
+    assert list(scalarforms._EULER_POWERS) == list(range(2, 10))
+    _euler_power(5, 60)  # an extension keeps the others
+    assert sorted(scalarforms._EULER_POWERS) == list(range(2, 10))
+    assert _euler_power(1, 40).to_record() == oracle_euler_power(1, 40).to_record()
+    assert sorted(scalarforms._EULER_POWERS) == [1, *range(3, 10)]
+
+
+def test_euler_power_memo_never_mutates_a_published_list(monkeypatch):
+    monkeypatch.setattr(scalarforms, "_EULER_POWERS", {})
+    _euler_power(-24, 50)
+    published = scalarforms._EULER_POWERS[-24]
+    kept = list(published)
+    _euler_power(-24, 400)
+    assert published == kept and len(scalarforms._EULER_POWERS[-24]) == 400
+    _euler_power(-24, 10)
+    assert len(scalarforms._EULER_POWERS[-24]) == 400
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_euler_power_refuses_an_empty_order_as_before(order):
+    with pytest.raises(ValueError) as got:
+        _euler_power(7, order)
+    with pytest.raises(ValueError) as want:
+        oracle_euler_power(7, order)
+    assert str(got.value) == str(want.value)
+
+
+def test_euler_power_memo_under_concurrent_extension(monkeypatch):
+    monkeypatch.setattr(scalarforms, "_EULER_POWERS", {})
+    # Each thread asks for rising orders, offset from the others' orders.
+    s, rising = -400, [[order + 7 * i for order in (40, 120, 260, 450)] for i in range(4)]
+    want = {order: oracle_euler_power(s, order).to_record() for row in rising for order in row}
+    barrier = threading.Barrier(4)
+    results, errors = [], []
+
+    def worker(i):
+        try:
+            barrier.wait()
+            for order in rising[i]:
+                results.append((order, _euler_power(s, order).to_record()))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors and len(results) == 16
+    for order, record in results:
+        assert record == want[order], order
 
 
 @pytest.mark.parametrize("order", [1, 2, 8, 97, 300])

@@ -24,19 +24,27 @@ parity flipped, for every candidate with k in [0, 5] and a few wrong
 multisets.  Over Q(zeta_280) and Q(zeta_35), where the lift passes the
 order bound, the check must give what it gives on the unconjugated
 representation.
+
+With a total weight given, ``_candidate_ks`` computes the one k of the last
+class in use from the total and the other picks, and checks it against its
+range, instead of walking that range.  ``oracle_candidate_ks`` is its body
+before, which walks the range and filters by the total, kept verbatim.  The
+two must return the same list or raise the same error on seeded small
+requests, with negative k and with totals that are odd, negative or out of
+reach.
 """
 
 import dataclasses
 import json
 import random
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 import pytest
 from test_replib_oracle import DEFINING, EVEN_2, RECORDS, _conjugated, _derived, _rep
 
 from vvmf import cli, weightcalc
 from vvmf.errors import RepValidationError
-from vvmf.replib import Multiplicities, make_rep, multiplicities, traces
+from vvmf.replib import Multiplicities, linear_character, make_rep, multiplicities, traces
 from vvmf.weightcalc import (MINUS_I, ZETA3, ZETA3_INV, HilbertCheck, WeightMultiset,
                              check_hilbert_poly, count_weight_multisets,
                              enumerate_weight_multisets)
@@ -293,3 +301,99 @@ def test_hilbert_check_over_fields_past_the_lift():
                 assert lifted == got, (order, ws)
         assert results == {True, False, ValueError}, order
     assert raised == {280: 4, 35: 5}
+
+
+# -- the total weight fixes the last class's k ------------------------------------
+
+def oracle_candidate_ks(d: int, epsilon: int, mult: Multiplicities, k_min: int,
+                        k_max: int, sum_w: int | None) -> list[tuple[int, ...]]:
+    """Each candidate of ``enumerate_weight_multisets`` as its sorted tuple
+    of k, in lexicographic order, after the same checks with the same errors
+    (the cap before any candidate is built)."""
+    if k_min > k_max:
+        raise ValueError("k_min must not exceed k_max")
+    if epsilon not in (0, 1):
+        raise ValueError("epsilon must be 0 or 1")
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    count = weightcalc.count_weight_multisets(d, mult, k_min, k_max)
+    if count > weightcalc.MAX_CANDIDATES:
+        raise ValueError(
+            f"{count} candidate weight multisets for k in [{k_min}, {k_max}], "
+            f"above the cap {weightcalc.MAX_CANDIDATES}; narrow the k range")
+    pools = weightcalc._class_pools(k_min, k_max)
+    out = []
+    for ns in weightcalc._class_counts(d, mult):
+        # The classes in use; a class with one k walks its range lazily,
+        # so a wide range costs no memory.
+        picks = [zip(pool) if n == 1 else combinations_with_replacement(pool, n)
+                 for pool, n in zip(pools, ns) if n]
+        if len(picks) == 1:
+            kss = picks[0]  # already sorted
+        else:
+            kss = map(tuple, map(sorted, map(chain.from_iterable, product(*picks))))
+        if sum_w is not None or k_min < 0:  # else every total is >= 0
+            kss = (ks for ks in kss if (total := 2 * sum(ks) + d * epsilon) >= 0
+                   and (sum_w is None or total == sum_w))
+        out += kss
+    out.sort()
+    return out
+
+
+def total_request(rng: random.Random) -> tuple:
+    """(d, epsilon, mult, k_min, k_max, sum_w) with a total weight that is
+    mostly a candidate's, else odd for the parity, negative, or past any
+    multiset in range."""
+    d = rng.randint(0, 5)
+    epsilon = rng.randint(0, 1)
+    beta1 = rng.randint(0, d)
+    mult = Multiplicities(rng.randint(0, d), beta1, rng.randint(0, d - beta1))
+    k_min = rng.randint(-10, 6)
+    k_max = k_min + rng.randint(0, 16)
+    found = oracle_candidate_ks(d, epsilon, mult, k_min, k_max, None)
+    kind = rng.choice(["found", "found", "odd", "negative", "unreachable", "any"])
+    if kind == "found" and found:
+        sum_w = 2 * sum(rng.choice(found)) + d * epsilon
+    elif kind == "odd":
+        sum_w = 2 * rng.randint(-20, 40) + d * epsilon + 1
+    elif kind == "negative":
+        sum_w = -rng.randint(1, 30)
+    elif kind == "unreachable":
+        sum_w = 2 * d * k_max + d * epsilon + 2 * rng.randint(1, 9)
+    else:
+        sum_w = sum(2 * rng.randint(k_min, k_max) + epsilon for _ in range(d))
+    return d, epsilon, mult, k_min, k_max, sum_w
+
+
+TOTAL_CASES = [total_request(random.Random(f"totals:{i}")) for i in range(400)]
+
+
+def _ks_outcome(route, request):
+    try:
+        return route(*request)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def test_fixed_total_matches_the_walk():
+    kept = 0
+    for request in TOTAL_CASES:
+        got = _ks_outcome(weightcalc._candidate_ks, request)
+        assert got == _ks_outcome(oracle_candidate_ks, request), request
+        kept += bool(got)
+    assert kept >= 100
+    assert any(r[5] < 0 for r in TOTAL_CASES) and any(r[3] < 0 for r in TOTAL_CASES)
+    assert any((r[5] - r[0] * r[1]) % 2 for r in TOTAL_CASES)
+    # Most requests have a class distribution whose last class holds one k.
+    assert sum(any([n for n in ns if n][-1:] == [1] for ns in weightcalc._class_counts(r[0], r[2]))
+               for r in TOTAL_CASES) >= 200
+
+
+def test_fixed_total_over_a_wide_class():
+    # kappa^2: one k = 0 mod 6 in [0, 2900000], 483,334 candidates, one of
+    # total weight 2000006; and a pair of classes with a negative k_min.
+    mult = multiplicities(linear_character(2))
+    for request in [(1, 0, mult, 0, 2_900_000, 2_000_006),
+                    (1, 0, mult, 0, 2_900_000, 2_000_004),
+                    (2, 1, Multiplicities(1, 1, 1), -300, 400, 101)]:
+        assert weightcalc._candidate_ks(*request) == oracle_candidate_ks(*request), request
