@@ -109,20 +109,30 @@ def _json_blocks(payload: dict):
     yield "\n  ]" + tail
 
 
+class _Texts(dict):
+    """str(value(k)) by k, each made on the first lookup of its k."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __missing__(self, k):
+        self[k] = text = str(self.value(k))
+        return text
+
+
 class _Candidates(list):
     """A report's candidate weight multisets, as the walk's sorted k tuples.
     Iterating gives each as its ``candidate_multisets`` row {"epsilon": int,
     "ks": [int], "weights": [int]}, weights 2k + epsilon, so the payload is
     what the json module would encode; the report lays the tuples out
-    itself, from the text of each k and weight, made once per k value in
-    them."""
+    itself, from the text of each k and weight, made once per k value on its
+    first use."""
 
     def __init__(self, epsilon: int, candidates: list[tuple[int, ...]]):
         super().__init__(candidates)
         self.epsilon = epsilon
-        seen = set(chain.from_iterable(candidates))
-        self.k_text = {k: str(k) for k in seen}.__getitem__
-        self.w_text = {k: str(2 * k + epsilon) for k in seen}.__getitem__
+        self.k_text = _Texts(int).__getitem__
+        self.w_text = _Texts(lambda k: 2 * k + epsilon).__getitem__
 
     def __iter__(self):
         eps = self.epsilon

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import RepValidationError
-from .exactfield import (CycNumber, _check_order, _coerce, _row_reduce, _solve_exact,
-                         root_of_unity)
+from .exactfield import (CycNumber, _check_order, _coerce, _mul, _pack, _reduction_rows,
+                         _row_reduce, _unpack, euler_phi, root_of_unity)
 
 Matrix = tuple[tuple[CycNumber, ...], ...]
 
@@ -33,37 +34,19 @@ _CHAR_T = 1   # zeta_12   (= value(U)^-1 * value(S))
 
 # -- small exact matrix helpers ---------------------------------------------
 
+def _entry(v) -> CycNumber:
+    if (c := _coerce(v)) is None:
+        raise TypeError(f"matrix entries must be exact numbers, got {v!r}")
+    return c
+
+
 def _mat(rows) -> Matrix:
-    out = []
-    for row in rows:
-        cells = []
-        for v in row:
-            c = _coerce(v)
-            if c is None:
-                raise TypeError(f"matrix entries must be exact numbers, got {v!r}")
-            cells.append(c)
-        out.append(tuple(cells))
-    return tuple(out)
+    return tuple(tuple(map(_entry, row)) for row in rows)
 
 
 def _identity(d: int) -> Matrix:
     return tuple(tuple(CycNumber.one() if i == j else CycNumber.zero()
                        for j in range(d)) for i in range(d))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    d = len(a)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = CycNumber.zero()
-            for k in range(d):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -75,30 +58,101 @@ def _mat_scale(a: Matrix, c: CycNumber) -> Matrix:
 
 
 def _mat_trace(a: Matrix) -> CycNumber:
-    acc = CycNumber.zero()
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
-def _mat_inv(a: Matrix) -> Matrix:
-    """Inverse over the cyclotomic field: solve a * X = I column by column."""
-    d = len(a)
-    cols = _solve_exact([[row[j] for row in a] for j in range(d)], list(_identity(d)))
-    if cols is None:
-        raise RepValidationError("matrix is singular; generator images must be invertible")
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    return sum((row[i] for i, row in enumerate(a)), CycNumber.zero())
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    da, db = len(a), len(b)
-    zero = CycNumber.zero()
+    right, left = (CycNumber.zero(),) * len(b), (CycNumber.zero(),) * len(a)
+    return tuple(tuple(row) + right for row in a) + tuple(left + tuple(row) for row in b)
+
+
+# -- integer coordinate slabs --------------------------------------------------
+# make_rep's relation checks, _mat_inv and _min_poly work on slabs: a d x d
+# matrix at order N as one flat list of integer power-basis coordinates, phi(N)
+# per entry, row-major, over one positive denominator (the layout of
+# QSeries.nums).  In lowest terms, equal matrices have equal slabs.
+
+def _order(m: Matrix) -> int:
+    return math.lcm(*(c.order for row in m for c in row))
+
+
+def _slab(m: Matrix, order: int):
+    cells = [c.lift(order) for row in m for c in row]  # each in lowest terms, so is the slab
+    den = math.lcm(*(c.den for c in cells))
+    return [x * (den // c.den) for c in cells for x in c.num], den
+
+
+def _lowest(xs: list[int], den: int = 0):
+    """xs and den over their gcd; with den = 0, xs over its content."""
+    g = math.gcd(den, *xs)
+    return ([x // g for x in xs], den // g) if g > 1 else (xs, den)
+
+
+def _slab_mul(a, b, order: int):
+    """a * b: each entry's coordinates packed into one int, at a slot width
+    that bounds every sum, so a dot product is one sum of d int products;
+    its slots, zeta^0..zeta^(2phi-2), are folded by _reduction_rows."""
+    (xs, xden), (ys, yden), phi = a, b, euler_phi(order)
+    d, span = math.isqrt(len(xs) // phi), 2 * phi - 1
+    width = (d * phi * (max(map(abs, xs)) or 1) * (max(map(abs, ys)) or 1)).bit_length() // 8 + 1
+    xs, ys = ([_pack(zs[k:k + phi], width) for k in range(0, len(zs), phi)] for zs in (xs, ys))
+    cols, fold = [ys[j::d] for j in range(d)], list(zip(*_reduction_rows(order)[:span]))
     out = []
-    for i in range(da):
-        out.append(tuple(a[i]) + tuple(zero for _ in range(db)))
-    for i in range(db):
-        out.append(tuple(zero for _ in range(da)) + tuple(b[i]))
-    return tuple(out)
+    for i in range(0, d * d, d):
+        for col in cols:
+            slots = _unpack(sum(map(mul, xs[i:i + d], col)), span, width)
+            out += [sum(map(mul, slots, r)) for r in fold]
+    return _lowest(out, xden * yden)
+
+
+def _integral(row: list[int], at: int, order: int) -> list[int]:
+    """``row`` over its content after scaling its entry ``at`` to an integer."""
+    phi = euler_phi(order)
+    inv = CycNumber(order, tuple(row[at * phi:(at + 1) * phi])).inverse()
+    return _lowest(_mul(row, inv.num, len(row) // phi, order))[0]
+
+
+def _eliminate(w: list[int], row: list[int], at: int, order: int) -> list[int]:
+    """n * w - w[at] * row over its content, n the integer entry ``at`` of
+    ``row`` (see _integral): a multiple of w - (w[at] / n) * row."""
+    phi = euler_phi(order)
+    scaled = _mul(row, w[at * phi:(at + 1) * phi], len(row) // phi, order)
+    return _lowest([row[at * phi] * x - y for x, y in zip(w, scaled)])[0]
+
+
+def _mat_inv(a: Matrix) -> Matrix:
+    """Inverse over the cyclotomic field: Gauss-Jordan on the integer rows of
+    [a | I] with _row_reduce's pivots (the first row from c nonzero in column
+    c), each scaled to an integer instead of 1; every entry comes back at the
+    order _row_reduce's products and sums give it."""
+    d, order = len(a), _order(a)
+    phi = euler_phi(order)
+    nums, den = _slab(a, order)
+    rows = [nums[i * d * phi:(i + 1) * d * phi] + [0] * (i * phi) + [den]
+            + [0] * ((d - i) * phi - 1) for i in range(d)]
+    orders = [[c.order for c in row] + [1] * d for row in a]
+    for c in range(d):
+        r = next((i for i in range(c, d) if any(rows[i][c * phi:(c + 1) * phi])), None)
+        if r is None:
+            raise RepValidationError("matrix is singular; generator images must be invertible")
+        rows[c], rows[r], orders[c], orders[r] = rows[r], rows[c], orders[r], orders[c]
+        rows[c] = _integral(rows[c], c, order)
+        orders[c] = [math.lcm(o, orders[c][c]) for o in orders[c]]
+        for i in range(d):
+            if i != c and any(rows[i][c * phi:(c + 1) * phi]):
+                orders[i] = [math.lcm(o, orders[i][c], p) for o, p in zip(orders[i], orders[c])]
+                rows[i] = _eliminate(rows[i], rows[c], c, order)
+    return tuple(tuple(CycNumber(order, tuple(row[(d + j) * phi:(d + j + 1) * phi]), row[i * phi])
+                       .reduce_order_to(o) for j, o in enumerate(ords[d:]))
+                 for i, (row, ords) in enumerate(zip(rows, orders)))
+
+
+def _product_orders(a: Matrix, b: Matrix) -> list[list[int]]:
+    """The orders of a * b's entries as sums from the order-1 zero of the
+    nonzero CycNumber products give them: their lcm, else 1."""
+    za, zb = ([[c.order if any(c.num) else 0 for c in row] for row in m] for m in (a, zip(*b)))
+    return [[math.lcm(*(math.lcm(x, y) for x, y in zip(row, col) if x and y)) for col in zb]
+            for row in za]
 
 
 # -- representation spec -----------------------------------------------------
@@ -138,35 +192,35 @@ def make_rep(name: str, s_rows, t_rows) -> RepSpec:
     (rho(S) rho(T)^-1)^3 = 1, rho(S)^2 central, and rho(S)^2 = +-1.
     Each failure is reported by name.
     """
-    s = _mat(s_rows)
-    t = _mat(t_rows)
+    s, t = _mat(s_rows), _mat(t_rows)
     d = len(s)
     if d == 0 or any(len(r) != d for r in s) or len(t) != d or any(len(r) != d for r in t):
         raise RepValidationError("generator matrices must be square and of equal size")
-    order = 1
-    for m in (s, t):
-        for row in m:
-            for c in row:
-                order = math.lcm(order, c.order)
+    order = math.lcm(_order(s), _order(t))
     _check_order(order)
-    ident = _identity(d)
-    s2 = _mat_mul(s, s)
-    if not _mat_eq(_mat_mul(s2, s2), ident):
+    ss, ts, one = _slab(s, order), _slab(t, order), _slab(_identity(d), order)
+    s2 = _slab_mul(ss, ss, order)
+    if _slab_mul(s2, s2, order) != one:
         raise RepValidationError("relation rho(S)^4 = 1 fails")
-    u = _mat_mul(s, _mat_inv(t))
-    if not _mat_eq(_mat_mul(_mat_mul(u, u), u), ident):
+    t_inv = _mat_inv(t)
+    u = _slab_mul(ss, _slab(t_inv, order), order)
+    if _slab_mul(_slab_mul(u, u, order), u, order) != one:
         raise RepValidationError("relation (rho(S) rho(T)^-1)^3 = 1 fails")
-    if not _mat_eq(_mat_mul(s2, t), _mat_mul(t, s2)):
+    if _slab_mul(s2, ts, order) != _slab_mul(ts, s2, order):
         raise RepValidationError("rho(S)^2 does not commute with rho(T)")
-    if _mat_eq(s2, ident):
+    if s2 == one:
         epsilon = 0
-    elif _mat_eq(s2, _mat_scale(ident, CycNumber.from_rational(-1))):
+    elif s2 == ([-x for x in one[0]], 1):
         epsilon = 1
     else:
         raise RepValidationError(
             "rho(S)^2 is not plus or minus the identity: "
             "decompose into even/odd parts first"
         )
+    nums, den, phi = *u, euler_phi(order)
+    u = tuple(tuple(CycNumber(order, tuple(nums[(i * d + j) * phi:(i * d + j + 1) * phi]), den)
+                    .reduce_order_to(o) for j, o in enumerate(row))
+              for i, row in enumerate(_product_orders(s, t_inv)))
     return RepSpec(name, d, order, s, t, epsilon, u)
 
 
@@ -343,13 +397,25 @@ def _squarefree(p: list[CycNumber]) -> bool:
 
 
 def _min_poly(m: Matrix) -> list[CycNumber]:
-    """Minimal polynomial via the first linear dependence among powers of m: the
-    first column without a pivot in one row reduction of m^0..m^d flattened."""
-    d = len(m)
-    powers = [_identity(d)]
-    for _ in range(d):
-        powers.append(_mat_mul(powers[-1], m))
-    aug = [[p[i][j] for p in powers] for i in range(d) for j in range(d)]
-    pivots = _row_reduce(aug, d + 1)
-    deg = next(c for c in range(d + 1) if c == len(pivots) or pivots[c] != c)
-    return [-aug[i][deg] for i in range(deg)] + [CycNumber.one()]
+    """Minimal polynomial via the first linear dependence among the powers of
+    m, built one at a time: m^k flattened, then the coordinates of x^k, is
+    reduced against the earlier powers (each with its first nonzero entry
+    made an integer), and the first to vanish leaves the dependence in its
+    tail, a multiple of the monic one."""
+    d, order = len(m), _order(m)
+    phi, size = euler_phi(order), d * d
+    slab, power, basis = _slab(m, order), _slab(_identity(d), order), []
+    for k in range(d + 1):
+        if k:
+            power = _slab_mul(power, slab, order) if k > 1 else slab
+        w = power[0] + [0] * (k * phi) + [power[1]] + [0] * ((d + 1 - k) * phi - 1)
+        for at, row in basis:
+            if any(w[at * phi:(at + 1) * phi]):
+                w = _eliminate(w, row, at, order)
+        at = next((e for e in range(size) if any(w[e * phi:(e + 1) * phi])), None)
+        if at is None:
+            tail = w[size * phi:]
+            return [CycNumber(order, tuple(tail[i * phi:(i + 1) * phi]), tail[k * phi])
+                    for i in range(k)] + [CycNumber.one()]
+        basis.append((at, _integral(w, at, order)))
+    raise ArithmeticError("Cayley-Hamilton bounds the degree by the dimension")

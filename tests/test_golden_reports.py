@@ -32,16 +32,25 @@ weight 0; they pin the seed-1 ``cyclo-det`` files at the benchmark's order
 and at the order floor, an odd direct sum (no weight-0 check) and an even
 one with misdeclared weights (exit 1).  The ``verify scalar --order 8`` text
 report was recorded while every generator-product pair built its own right
-side.
+side.  The ``analyze`` hashes of ``test_replib_oracle.pin_record``, a d = 8
+conjugate over Q(zeta_12) built by the tests' own ``CycNumber`` products,
+were recorded while ``make_rep`` and ``_min_poly`` multiplied ``CycNumber``
+matrices entry by entry; they hold in a plain and in a ``python -O`` run,
+and the JSON report prints the orders of Tr U and Tr U^-1.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from test_replib_oracle import EVEN_2, _conjugated
+from test_replib_oracle import EVEN_2, _conjugated, pin_record
+
+import vvmf
 
 from vvmf.cli import main
 from vvmf.detlab import FormVector, generators_to_record
@@ -121,6 +130,11 @@ ANALYZE_SHA256 = {
     ("even-2-zeta280", "text"): "6a00915144f0b4dcac6d6285c50c69dbe6a5a2a3448bd2eb37407a0d92289560",
     ("cyclo-det-1", "json"): "dee40ca6271fc897c7b51971a9d9de5821958512ed4ca8ac851147fefb9c93fb",
     ("cyclo-det-1", "text"): "3b90815f85247d3d74175dce3c9f1c9ac4dbe9e1363db8c728a4f5fc330c431e",
+}
+
+PIN_8_SHA256 = {
+    "json": "addd20c426b6370a7e1cf3e22ce73866d4e3bf51cb0ba37f03c660b977f67b7e",
+    "text": "d9d607d32b472841ee60adbb7eb28f3e8ce12ffc385df69ee451db38f19868c5",
 }
 
 ENUMERATE_SHA256 = {
@@ -278,6 +292,18 @@ def test_analyze_enumerate_report_bytes(name, extra, fmt, tmp_path, capsys):
     path.write_text(json.dumps(_analyze_input(name)), encoding="utf-8")
     out = _report(["analyze", str(path), "--enumerate", *extra.split(), "--format", fmt], capsys)
     assert _sha256(out) == ENUMERATE_SHA256[name, extra, fmt]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("fmt", sorted(PIN_8_SHA256))
+def test_analyze_pin_report_bytes(fmt, flags, tmp_path):
+    path = tmp_path / "pin-8.json"
+    path.write_text(json.dumps(pin_record()), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parent.parent))
+    run = subprocess.run([sys.executable, *flags, "-m", "vvmf.cli", "analyze", str(path),
+                          "--format", fmt], env=env, capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert _sha256(run.stdout) == PIN_8_SHA256[fmt]
 
 
 @pytest.mark.parametrize("name, order, fmt", sorted(DET_SHA256))

@@ -10,8 +10,21 @@ For a representation from ``make_rep`` both routes form the same products
 and sums, so the traces match by ``to_record()``, cyclotomic order included;
 twists and direct sums reach rho(U) another way and match by value.
 
-``_min_poly`` row-reduces the powers of a matrix once; its oracle restarts
-the solver for each degree.  ``_solve_exact`` is now ``_row_reduce`` plus a
+``make_rep``'s relation checks, ``_mat_inv`` and ``_min_poly`` work on
+integer coordinate slabs.  The ``CycNumber`` routes they replaced live here:
+``_mat_mul``, ``_mat_inv``, ``reduced_min_poly`` (the ``_min_poly`` that
+row-reduced all d + 1 powers at once) and ``oracle_make_rep`` (the relation
+checks on them).  They are compared on seeded conjugates over Q(zeta_N), N =
+1, 3, 4, 12, 35 and 280, with fraction and mixed-order entries and Jordan
+blocks: rho(U) entry by entry and the traces by ``to_record()``, the
+minimal polynomials of rho(S), rho(T) and rho(U), semisimplicity, and the
+message of every failing relation (a zero row or two equal rows make rho(T)
+singular); and on random matrices with zero rows: the inverse by
+``to_record()`` (or its message), the minimal polynomial and the square.
+On ``pin_record``'s rho(T), of degree 6, ``_min_poly`` takes five products.
+
+``reduced_min_poly`` row-reduces the powers of a matrix once; its oracle
+``oracle_min_poly`` restarts the solver for each degree.  ``_solve_exact`` is now ``_row_reduce`` plus a
 read-out; its oracle is the single loop it was split from.
 
 ``t_is_semisimple`` asks ``_squarefree`` whether the Sylvester matrix of the
@@ -55,9 +68,9 @@ from vvmf import replib
 from vvmf.cli import main
 from vvmf.detlab import det_n
 from vvmf.errors import RepValidationError
-from vvmf.exactfield import CycNumber, _solve_exact, euler_phi, root_of_unity
-from vvmf.replib import (Multiplicities, TraceData, _mat, _mat_inv, _mat_mul, _mat_trace,
-                         _min_poly, _squarefree, direct_sum, load_rep, make_rep,
+from vvmf.exactfield import CycNumber, _row_reduce, _solve_exact, euler_phi, root_of_unity
+from vvmf.replib import (Multiplicities, TraceData, _identity, _mat, _mat_eq, _mat_scale,
+                         _mat_trace, _min_poly, _squarefree, direct_sum, load_rep, make_rep,
                          multiplicities, t_is_semisimple, traces, twist)
 from vvmf.scalarforms import e4_e6_delta
 
@@ -76,6 +89,71 @@ inputs = _perfbench_inputs()
 
 # -- the replaced routes -------------------------------------------------------
 
+def _mat_mul(a, b):
+    d = len(a)
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc = CycNumber.zero()
+            for k in range(d):
+                if not a[i][k].is_zero() and not b[k][j].is_zero():
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _mat_inv(a):
+    """Inverse over the cyclotomic field: solve a * X = I column by column."""
+    d = len(a)
+    cols = _solve_exact([[row[j] for row in a] for j in range(d)], list(_identity(d)))
+    if cols is None:
+        raise RepValidationError("matrix is singular; generator images must be invertible")
+    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+
+
+def reduced_min_poly(m):
+    """Minimal polynomial via the first linear dependence among powers of m: the
+    first column without a pivot in one row reduction of m^0..m^d flattened."""
+    d = len(m)
+    powers = [_identity(d)]
+    for _ in range(d):
+        powers.append(_mat_mul(powers[-1], m))
+    aug = [[p[i][j] for p in powers] for i in range(d) for j in range(d)]
+    pivots = _row_reduce(aug, d + 1)
+    deg = next(c for c in range(d + 1) if c == len(pivots) or pivots[c] != c)
+    return [-aug[i][deg] for i in range(deg)] + [CycNumber.one()]
+
+
+def oracle_make_rep(s_rows, t_rows):
+    """The relation checks of ``make_rep`` by ``CycNumber`` matrix products:
+    (epsilon, rho(U)), or the ``RepValidationError`` message."""
+    s = _mat(s_rows)
+    t = _mat(t_rows)
+    d = len(s)
+    if d == 0 or any(len(r) != d for r in s) or len(t) != d or any(len(r) != d for r in t):
+        return "generator matrices must be square and of equal size"
+    ident = _identity(d)
+    s2 = _mat_mul(s, s)
+    if not _mat_eq(_mat_mul(s2, s2), ident):
+        return "relation rho(S)^4 = 1 fails"
+    try:
+        u = _mat_mul(s, _mat_inv(t))
+    except RepValidationError as exc:
+        return str(exc)
+    if not _mat_eq(_mat_mul(_mat_mul(u, u), u), ident):
+        return "relation (rho(S) rho(T)^-1)^3 = 1 fails"
+    if not _mat_eq(_mat_mul(s2, t), _mat_mul(t, s2)):
+        return "rho(S)^2 does not commute with rho(T)"
+    if _mat_eq(s2, ident):
+        return 0, u
+    if _mat_eq(s2, _mat_scale(ident, CycNumber.from_rational(-1))):
+        return 1, u
+    return ("rho(S)^2 is not plus or minus the identity: "
+            "decompose into even/odd parts first")
+
+
 def oracle_u(rep):
     """The image of [[0,-1],[1,-1]] = S*T^(-1)."""
     return _mat_mul(rep.s, _mat_inv(rep.t))
@@ -91,7 +169,7 @@ def oracle_traces(rep) -> TraceData:
 def oracle_min_poly(m):
     """Minimal polynomial via the first linear dependence among powers of m."""
     d = len(m)
-    powers = [replib._identity(d)]
+    powers = [_identity(d)]
     for _ in range(d):
         powers.append(_mat_mul(powers[-1], m))
     vecs = [[p[i][j] for i in range(d) for j in range(d)] for p in powers]
@@ -554,3 +632,220 @@ def test_det_n_over_fields_past_the_twist():
             else:
                 assert got == twisted, (order, n)
     assert raised == [(280, -2), (280, 2), (35, -3), (35, -1), (35, 1), (35, 3)]
+
+
+# -- integer coordinate slabs against the CycNumber routes ----------------------
+
+def _element(rng, order: int, zero: float = 0.25, n=None) -> CycNumber:
+    """A seeded element of Q(zeta_n), n a random divisor of ``order`` unless
+    given, with fraction coordinates (at most four nonzero), or a zero of
+    such an order."""
+    n = n or rng.choice([k for k in range(1, order + 1) if order % k == 0])
+    coords = [Fraction(0)] * euler_phi(n)
+    if rng.random() >= zero:
+        for i in rng.sample(range(len(coords)), min(4, len(coords))):
+            coords[i] = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    return CycNumber(n, tuple(coords))
+
+
+def _conjugator(rng, d: int, order: int):
+    """A seeded P = L * U (unitriangular factors over Q(zeta_order)) and P^-1;
+    U's first entry above the diagonal is 1 + zeta_order, so that P needs the
+    whole field.  Past phi(order) = 24 that is P's only entry off the
+    diagonal: an inverse there multiplies phi - 1 dense conjugates."""
+    one, zero = CycNumber.one(), CycNumber.zero()
+    dense = euler_phi(order) <= 24
+    lower, upper = ([[one if i == j else _element(rng, order) if (j < i) == low and dense
+                      else zero for j in range(d)] for i in range(d)] for low in (True, False))
+    if d > 1:
+        upper[0][1] = one + root_of_unity(order, 1)
+    p = _mat_mul(lower, upper)
+    return p, _mat_inv(p)
+
+
+def _diagonal_characters(js, order: int):
+    """rho(S), rho(T) of kappa^j1 (+) ... over Q(zeta_order): zeta_12^(9j) and
+    zeta_12^j, each written at ``order`` (every j * order / 12 whole)."""
+    zero = CycNumber.zero()
+    return tuple([[root_of_unity(order, e * js[i] * order // 12) if i == k else zero
+                   for k in range(len(js))] for i in range(len(js))] for e in (9, 1))
+
+
+def _conjugated_pair(rows, order: int, seed):
+    """P * rho * P^-1 for both generators, by the CycNumber products."""
+    p, p_inv = _conjugator(random.Random(f"replib-slab:{seed}"), len(rows[0]), order)
+    return tuple(_mat_mul(_mat_mul(p, _mat(m)), p_inv) for m in rows)
+
+
+# rho(S) = diag(1, i) has rho(S)^4 = 1, and rho(S)^2 = diag(1, -1) does not
+# commute with U = [[0,-1],[1,-1]]: with T = U^-1 S = U^2 S, every check before
+# the commutation passes.  With T = S, U = I, and only rho(S)^2 = +-1 fails.
+_S_DIAG_1_I = ((1, 0), (0, root_of_unity(4, 1)))
+NOT_CENTRAL = (_S_DIAG_1_I, _mat_mul(_mat([[-1, 1], [-1, 0]]), _mat(_S_DIAG_1_I)))
+NOT_SIGNED = (_S_DIAG_1_I, _S_DIAG_1_I)
+
+SLAB_CASES = {
+    "even-2@1": (EVEN_2, 1), "defining@1": (DEFINING, 1),
+    "sym-2@1": (tuple(_sym_power(g, 2) for g in DEFINING), 1),
+    "sym-3@12": (tuple(_sym_power(g, 3) for g in DEFINING), 12),
+    "chars-0-4-8@3": (_diagonal_characters((0, 4, 8, 4), 3), 3),
+    "chars-3-9@4": (_diagonal_characters((3, 9, 3), 4), 4),
+    "chars-1-5-7@12": (_diagonal_characters((1, 5, 7, 11, 1), 12), 12),
+    "chars-0-2-6@12": (_diagonal_characters((0, 2, 6, 8), 12), 12),
+    "even-2@35": (EVEN_2, 35), "defining@35": (DEFINING, 35),
+    "even-2@280": (EVEN_2, 280),
+    "not-central@12": (NOT_CENTRAL, 12), "not-signed@4": (NOT_SIGNED, 4),
+}
+
+
+def _validated(s, t):
+    """make_rep's outcome in the oracle's terms: (epsilon, rho(U)) or the message."""
+    try:
+        rep = make_rep("slab", s, t)
+    except RepValidationError as exc:
+        return str(exc)
+    return rep.epsilon, rep.u()
+
+
+def _same_outcome(got, expected) -> bool:
+    if isinstance(got, str) or isinstance(expected, str):
+        return got == expected
+    return got[0] == expected[0] and [[c.to_record() for c in row] for row in got[1]] == \
+        [[c.to_record() for c in row] for row in expected[1]]
+
+
+def _broken(s, t):
+    """Variants of a representation that fail each relation in turn."""
+    two = CycNumber.from_rational(2)
+    zero_row = (tuple(CycNumber.zero() for _ in t[0]),) + tuple(t[1:])
+    yield "S^4", [[2 * c for c in row] for row in s], t
+    yield "zero row", s, zero_row
+    if len(t) > 1:
+        yield "equal rows", s, (t[1],) + tuple(t[1:])
+    yield "U^3", s, [[two * c for c in row] for row in t]
+    yield "square", [list(row) + [CycNumber.zero()] for row in s], t
+
+
+@pytest.mark.parametrize("key", sorted(SLAB_CASES))
+def test_slab_validation_matches_the_cycnumber_route(key):
+    rows, order = SLAB_CASES[key]
+    s, t = _conjugated_pair(rows, order, key)
+    expected = oracle_make_rep(s, t)
+    got = _validated(s, t)
+    assert _same_outcome(got, expected), key
+    if isinstance(expected, str):
+        assert key.startswith("not-")
+        return
+    rep = make_rep(key, s, t)
+    assert _records(traces(rep)) == _records(oracle_traces(rep))
+    for m in (rep.t, rep.s, rep.u()):
+        assert _same_poly(_min_poly(m), reduced_min_poly(m))
+    assert t_is_semisimple(rep) == oracle_semisimple(rep.t) == (not key.startswith(("sym", "def")))
+    messages = set()
+    for what, bad_s, bad_t in _broken(s, t):
+        got, expected = _validated(bad_s, bad_t), oracle_make_rep(bad_s, bad_t)
+        assert isinstance(got, str) and got == expected, (key, what)
+        messages.add(got)
+    assert "matrix is singular; generator images must be invertible" in messages
+
+
+def test_slab_validation_reports_each_relation():
+    messages = {_validated(*_conjugated_pair(rows, order, key)) for key, (rows, order)
+                in SLAB_CASES.items() if key.startswith("not-")}
+    assert messages == {"rho(S)^2 does not commute with rho(T)",
+                        "rho(S)^2 is not plus or minus the identity: "
+                        "decompose into even/odd parts first"}
+
+
+def _random_matrix(rng, d: int, order: int):
+    m = [[_element(rng, order, zero=0.35) for _ in range(d)] for _ in range(d)]
+    if rng.random() < 0.2:  # a zero row, its zeros of orders 1 and ``order``
+        m[rng.randrange(d)] = [CycNumber(n, (0,) * euler_phi(n))
+                               for n in rng.choices((1, order), k=d)]
+    return tuple(map(tuple, m))
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 12, 35])
+def test_inverse_and_min_poly_match_the_cycnumber_routes(order):
+    rng = random.Random(f"replib-slab:random:{order}")
+    singular = 0
+    for trial in range(24 if order < 35 else 6):
+        m = _random_matrix(rng, 1 + trial % (5 if order < 35 else 3), order)
+        try:
+            expected = _mat_inv(m)
+        except RepValidationError as exc:
+            singular += 1
+            with pytest.raises(RepValidationError, match=str(exc)):
+                replib._mat_inv(m)
+        else:
+            assert [[c.to_record() for c in row] for row in replib._mat_inv(m)] == \
+                [[c.to_record() for c in row] for row in expected], (order, trial)
+        assert _same_poly(_min_poly(m), reduced_min_poly(m)), (order, trial)
+        n = replib._order(m)
+        got = replib._slab_mul(replib._slab(m, n), replib._slab(m, n), n)
+        assert got == replib._slab(_mat_mul(m, m), n), (order, trial)
+    assert singular > 0
+
+
+def test_min_poly_of_jordan_blocks_over_subfields():
+    # J_3(zeta_3) (+) J_1(i) (+) J_2(-1/2): minimal polynomial of degree 6.
+    z, i, half = root_of_unity(3, 1), root_of_unity(4, 1), CycNumber.from_rational(Fraction(-1, 2))
+    one, zero = CycNumber.one(), CycNumber.zero()
+    diag, upper = [z, z, z, i, half, half], {(0, 1), (1, 2), (4, 5)}
+    m = tuple(tuple(diag[r] if r == c else one if (r, c) in upper else zero for c in range(6))
+              for r in range(6))
+    p, p_inv = _conjugator(random.Random("replib-slab:jordan"), 6, 12)
+    for matrix in (m, _mat_mul(_mat_mul(p, m), p_inv)):
+        got = _min_poly(matrix)
+        assert len(got) == 7 and _same_poly(got, reduced_min_poly(matrix))
+        assert not _squarefree(got)
+
+
+def pin_record() -> dict:
+    """The record of P * (kappa^0 (+) kappa^2 (+) ... (+) kappa^8) * P^-1 over
+    Q(zeta_12), d = 8, with a seeded P of fraction and mixed-order entries;
+    rho(T) has the six distinct eigenvalues zeta_12^(0, 2, 4, 6, 8, 10)."""
+    s, t = _conjugated_pair(_diagonal_characters((0, 2, 4, 6, 8, 10, 2, 8), 12), 12, "pin-8")
+    return {"name": "pin-8", "S": [[c.to_record() for c in row] for row in s],
+            "T": [[c.to_record() for c in row] for row in t]}
+
+
+def test_min_poly_stops_at_the_first_dependence(monkeypatch):
+    rep = load_rep(pin_record())
+    products = []
+    multiply = replib._slab_mul
+    monkeypatch.setattr(replib, "_slab_mul", lambda *args: products.append(1) or multiply(*args))
+    got = _min_poly(rep.t)
+    # m^0 and m^1 need no product; m^2..m^6 take one each, and m^6 is the first
+    # power that depends on the earlier ones.
+    assert len(got) == 7 and len(products) == 5
+    assert _same_poly(got, reduced_min_poly(rep.t))
+    assert got == [-1, 0, 0, 0, 0, 0, 1]
+    products.clear()
+    assert t_is_semisimple(rep) and len(products) == 5
+
+
+def test_inverse_orders_follow_the_elimination():
+    # Rows whose pivots lie in smaller fields than the entries they clear, so
+    # that each cleared row takes the order of its own entry, not the pivot's.
+    z12, z3, i = root_of_unity(12, 1), root_of_unity(3, 1), root_of_unity(4, 1)
+    one, zero, half = CycNumber.one(), CycNumber.zero(), CycNumber.from_rational(Fraction(1, 2))
+    cases = [((one, zero), (z12, one)),
+             ((2 * one, one), (half + z3, i)),
+             ((zero, one, zero), (i, zero, z3), (one, half, one)),
+             ((one, one, one), (one, z3, z3 * z3), (one, i, -one))]
+    for m in cases:
+        assert [[c.to_record() for c in row] for row in replib._mat_inv(m)] == \
+            [[c.to_record() for c in row] for row in _mat_inv(m)], m
+
+
+@pytest.mark.parametrize("order, coords", [(1, (2 ** 11,)), (12, (2 ** 10, 2 ** 10, 0, 0))])
+def test_products_fill_their_slots(order, coords):
+    # Eight equal entries to a dot product: at order 1 each product takes 23
+    # bits and the sum 26; at order 12, (1 + zeta)^2 = 1 + 2 zeta + zeta^2, so
+    # a product's slots take 23 bits and the sum's 25.  A slot sized for one
+    # product would overflow.
+    entry = CycNumber(order, coords)
+    m = tuple(tuple(entry for _ in range(8)) for _ in range(8))
+    got = replib._slab_mul(replib._slab(m, order), replib._slab(m, order), order)
+    assert got == replib._slab(_mat_mul(m, m), order)
