@@ -77,9 +77,12 @@ def build_parser():
     return parser
 
 
-# Lines of a text report written per call: a large report is never held
-# whole, and an unbuffered stdout still sees few writes.
-TEXT_BLOCK_LINES = 8192
+# Lines of a report written per call: a large report is never held whole,
+# and an unbuffered stdout still sees few writes.  A block's lines, its text
+# and its encoded bytes are alive at once: on an 87,680-candidate report
+# written to a file, blocks of 8192 lines raised the peak memory by about
+# 3 MiB over blocks of 1024 as text, and by about 12 MiB as JSON.
+TEXT_BLOCK_LINES = 1024
 
 
 def _json_blocks(payload: dict):

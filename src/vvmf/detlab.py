@@ -10,21 +10,17 @@ determinants across weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PrecisionError
-from .exactfield import CycNumber
+from .exactfield import CycNumber, _Record
 from .qseries import QSeries
 from .replib import RepSpec, _counts, traces
 from .scalarforms import e4_e6_delta, gen_form
 
 
-@dataclass(frozen=True)
-class FormVector:
+class FormVector(_Record):
     """One vector-valued form: a weight and its d coordinate q-expansions."""
 
-    weight: int
-    components: tuple[QSeries, ...]
+    __slots__ = ("weight", "components")
 
     @staticmethod
     def make(weight: int, components) -> FormVector:
@@ -57,11 +53,10 @@ def generators_from_record(record: dict) -> tuple[str, list[FormVector]]:
     return str(record.get("rep_name", "rep")), vectors
 
 
-@dataclass(frozen=True)
-class ExteriorProductResult:
-    determinant: QSeries
-    leading_coefficient: CycNumber
-    normalized: QSeries
+class ExteriorProductResult(_Record):
+    """A determinant, its leading coefficient and the determinant divided by it."""
+
+    __slots__ = ("determinant", "leading_coefficient", "normalized")
 
 
 def exterior_product(vectors) -> ExteriorProductResult:
@@ -196,14 +191,11 @@ def _common_parity(vectors: list[FormVector], ks: list[int]) -> int:
     return eps
 
 
-@dataclass(frozen=True)
-class GeneratorDeterminantReport:
-    """Outcome of the generating-set determinant identity check."""
+class GeneratorDeterminantReport(_Record):
+    """Outcome of the generating-set determinant identity check; true when
+    it passed."""
 
-    determinant_matches: bool
-    weight_sum: int
-    weight_sum_nonneg: bool
-    exterior: ExteriorProductResult
+    __slots__ = ("determinant_matches", "weight_sum", "weight_sum_nonneg", "exterior")
 
     @property
     def leading_coefficient(self) -> CycNumber:

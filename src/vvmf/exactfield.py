@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -249,8 +248,55 @@ def _substitute(num, order: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class CycNumber:
+_set = object.__setattr__
+
+
+class _Record:
+    """A value of the fields named in ``__slots__`` (a slot whose name starts
+    with an underscore is no field): ``__init__`` sets them once, by position
+    or by name, and any later assignment or deletion raises AttributeError.
+    A record equals a record of its own class with equal fields, hashes as
+    the tuple of its fields, shows as ``Class(field=value, ...)``, and is
+    copied and pickled through ``__init__``; a class may define its own of
+    each."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:  # the fields after the positional ones, in order; a name
+            # given twice, unknown or missing leaves kwargs or the count wrong
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                           if name[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class CycNumber(_Record):
     """An element of Q(zeta_order): num[i]/den is the coefficient of zeta_order^i.
 
     ``num`` has length euler_phi(order) and is kept in lowest terms with
@@ -259,19 +305,18 @@ class CycNumber:
     also accepts Fraction coordinates.
     """
 
-    order: int
-    num: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("order", "num", "den")
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __init__(self, order: int, num: tuple[int, ...], den: int = 1):
         if not all(type(x) is int for x in num):
             scale = math.lcm(*(Fraction(x).denominator for x in num))
             num, den = tuple(int(x * scale) for x in num), den * scale
         g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
-        if g != 1 or num is not self.num:
-            object.__setattr__(self, "num", tuple(x // g for x in num))
-            object.__setattr__(self, "den", den // g)
+        if g != 1:
+            num, den = tuple(x // g for x in num), den // g
+        _set(self, "order", order)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -281,12 +326,7 @@ class CycNumber:
     @staticmethod
     def make(order: int, coeffs) -> CycNumber:
         """Validating constructor; accepts ints/Fractions/strings as coefficients."""
-        _check_order(order)
-        vals = tuple(c if isinstance(c, Fraction) else parse_rational(c) for c in coeffs)
-        phi = euler_phi(order)
-        if len(vals) != phi:
-            raise ValueError(f"order {order} needs {phi} coefficients, got {len(vals)}")
-        return CycNumber(order, vals)
+        return CycNumber(order, *_read(order, coeffs))
 
     @staticmethod
     def from_rational(value) -> CycNumber:
@@ -528,6 +568,20 @@ def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
             for t in range(len(targets))]
 
 
+def _read(order: int, coeffs) -> tuple[tuple[int, ...], int]:
+    """The wire form of an element of Q(zeta_order), its phi(order)
+    coordinates as ints, Fractions or strings, as integer coordinates over
+    one positive denominator in lowest terms (the least common denominator
+    of the parsed coordinates)."""
+    _check_order(order)
+    vals = list(map(parse_rational, coeffs))
+    phi = euler_phi(order)
+    if len(vals) != phi:
+        raise ValueError(f"order {order} needs {phi} coefficients, got {len(vals)}")
+    den = math.lcm(*(x.denominator for x in vals))
+    return tuple(x.numerator * (den // x.denominator) for x in vals), den
+
+
 def parse_rational(text) -> int | Fraction:
     """Parse the wire form of a rational: base-10 'p/q' or 'p', optional sign.
 
@@ -536,9 +590,11 @@ def parse_rational(text) -> int | Fraction:
     """
     if isinstance(text, int):
         return int(text)
-    if isinstance(text, Fraction):
-        return text
-    text = str(text).replace("−", "-").strip()
+    if not isinstance(text, str):  # str first: isinstance against Fraction, an ABC, is slow
+        if isinstance(text, Fraction):
+            return text
+        text = str(text)
+    text = text.replace("−", "-").strip()
     digits = text[1:] if text.startswith("-") else text
     if digits.isascii() and digits.isdigit():
         return int(text)

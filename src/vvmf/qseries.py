@@ -23,26 +23,28 @@ kernel ``exactfield._mul``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .exactfield import (CycNumber, _check_order, _coerce, _kronecker, _mul,
-                         _substitute, euler_phi)
+from .exactfield import (CycNumber, _check_order, _coerce, _kronecker, _mul, _read, _Record,
+                         _set, _substitute, euler_phi)
 
 _ZERO = CycNumber.zero()
 
 
-@dataclass(frozen=True, eq=False)
-class QSeries:
-    grid: int
-    lead: int
-    valid_to: int
-    step: int
-    order: int
-    den: int
-    nums: tuple[int, ...]
-    orders: tuple[int, ...] | None = None
+class QSeries(_Record):
+    __slots__ = ("grid", "lead", "valid_to", "step", "order", "den", "nums", "orders")
+
+    def __init__(self, grid: int, lead: int, valid_to: int, step: int, order: int, den: int,
+                 nums: tuple[int, ...], orders: tuple[int, ...] | None = None):
+        _set(self, "grid", grid)
+        _set(self, "lead", lead)
+        _set(self, "valid_to", valid_to)
+        _set(self, "step", step)
+        _set(self, "order", order)
+        _set(self, "den", den)
+        _set(self, "nums", nums)
+        _set(self, "orders", orders)
 
     # -- construction ------------------------------------------------------
 
@@ -230,7 +232,8 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return replace(self, nums=tuple(-x for x in self.nums))
+        return QSeries(self.grid, self.lead, self.valid_to, self.step, self.order, self.den,
+                       tuple(-x for x in self.nums), self.orders)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -346,8 +349,15 @@ class QSeries:
 
     @staticmethod
     def from_record(record: dict) -> QSeries:
-        return QSeries._make(int(record["grid"]), int(record["lead"]), int(record["valid_to"]),
-                             [CycNumber.from_record(r) for r in record["coeffs"]])
+        """The series of a wire record; each coefficient record is read, as
+        ``CycNumber.from_record`` reads it, straight into its coordinates."""
+        grid, lead, valid_to = int(record["grid"]), int(record["lead"]), int(record["valid_to"])
+        terms = []
+        for r in record["coeffs"]:
+            order = int(r["order"])
+            num, den = _read(order, r["coeffs"])
+            terms.append((order, num, den) if any(num[1:]) else (1, num[:1], den))
+        return QSeries._normal(grid, lead, valid_to, 1, *_join(terms))
 
 
 def _flatten(values) -> tuple:
@@ -358,10 +368,24 @@ def _flatten(values) -> tuple:
     cs = [c and c.demoted() for c in map(_coerce, values)]
     if None in cs:
         raise TypeError(f"cannot use {values[cs.index(None)]!r} as a series coefficient")
-    kinds = {c.order for c in cs} - {1}
-    order, den = math.lcm(*kinds), math.lcm(*(c.den for c in cs))
-    nums = [x * (den // c.den) for c in cs for x in c.lift(order).num]
-    return order, den, nums, tuple(c.order for c in cs) if len(kinds) > 1 else None
+    return _join([(c.order, c.num, c.den) for c in cs])
+
+
+def _join(terms: list[tuple[int, tuple[int, ...], int]]) -> tuple:
+    """(order, den, nums, orders) of coefficients given as (order, num, den),
+    each in lowest terms and at order 1 when rational: every term at the lcm
+    of the orders, over the lcm of the denominators."""
+    kinds = {o for o, _, _ in terms} - {1}
+    order, den = math.lcm(*kinds), math.lcm(*(d for _, _, d in terms))
+    _check_order(order)
+    pad, nums = [0] * (euler_phi(order) - 1), []
+    for o, num, d in terms:
+        if o not in (1, order):
+            num = _substitute(num, order, order // o)
+        f = den // d
+        # A rational term lifts to its constant coordinate, with no table.
+        nums += [num[0] * f, *pad] if o == 1 else [x * f for x in num]
+    return order, den, nums, tuple(o for o, _, _ in terms) if len(kinds) > 1 else None
 
 
 def _lift(nums, src: int, dst: int):

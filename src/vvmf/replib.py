@@ -17,12 +17,11 @@ minus the identity.  Mixed inputs must be split into parity blocks first
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import RepValidationError
-from .exactfield import (CycNumber, _check_order, _coerce, _mul, _pack, _reduction_rows,
-                         _row_reduce, _unpack, euler_phi, root_of_unity)
+from .exactfield import (CycNumber, _check_order, _coerce, _mul, _pack, _Record, _reduction_rows,
+                         _row_reduce, _set, _unpack, euler_phi, root_of_unity)
 
 Matrix = tuple[tuple[CycNumber, ...], ...]
 
@@ -157,15 +156,14 @@ def _product_orders(a: Matrix, b: Matrix) -> list[list[int]]:
 
 # -- representation spec -----------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class RepSpec:
-    name: str
-    dimension: int
-    order: int
-    s: Matrix
-    t: Matrix
-    epsilon: int
-    rho_u: Matrix  # rho(S) rho(T)^-1, from make_rep's one inverse
+class RepSpec(_Record):
+    """A validated representation: its name, dimension d, cyclotomic order,
+    rho(S), rho(T), parity epsilon and rho(U) = rho(S) rho(T)^-1 (from
+    make_rep's one inverse), each matrix a d-tuple of d-tuples of CycNumber.
+    It compares and hashes by identity."""
+
+    __slots__ = ("name", "dimension", "order", "s", "t", "epsilon", "rho_u")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def u(self) -> Matrix:
         """The image of [[0,-1],[1,-1]] = S*T^(-1)."""
@@ -297,30 +295,43 @@ def split_by_parity(blocks) -> tuple[RepSpec | None, RepSpec | None]:
 
 # -- traces and multiplicities ------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceData:
-    s: CycNumber
-    u: CycNumber
-    u_inv: CycNumber
+class TraceData(_Record):
+    """Tr rho(S), Tr rho(U) and Tr rho(U)^-1.  Given rho(U) in place of the
+    last, it sums Tr rho(U)^-1 on the first read of ``u_inv``."""
+
+    __slots__ = ("s", "u", "u_inv", "_rho_u")
+
+    def __init__(self, s: CycNumber, u: CycNumber, u_inv: CycNumber | None = None,
+                 rho_u: Matrix | None = None):
+        _set(self, "s", s)
+        _set(self, "u", u)
+        if u_inv is not None:
+            _set(self, "u_inv", u_inv)
+        _set(self, "_rho_u", rho_u)
+
+    def __getattr__(self, name: str):
+        """Reached only by a read of ``u_inv`` before it is set: Tr U^2 sums
+        the nonzero products U_ik * U_ki, the diagonal of U*U alone."""
+        if name != "u_inv":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        u = self._rho_u
+        _set(self, "u_inv", sum((x * u[k][i] for i, row in enumerate(u) for k, x in enumerate(row)
+                                 if not x.is_zero() and not u[k][i].is_zero()), CycNumber.zero()))
+        return self.u_inv
 
 
 def traces(rep: RepSpec) -> TraceData:
     """Exact traces of rho(S), rho(U) and rho(U)^-1 = rho(U)^2 with U = S*T^(-1);
-    Tr U^2 sums the nonzero products U_ik * U_ki, the diagonal of U*U alone."""
+    the last is summed only when it is read (``TraceData.u_inv``)."""
     u = rep.u()
-    u_inv = sum((x * u[k][i] for i, row in enumerate(u) for k, x in enumerate(row)
-                 if not x.is_zero() and not u[k][i].is_zero()), CycNumber.zero())
-    return TraceData(_mat_trace(rep.s), _mat_trace(u), u_inv)
+    return TraceData(_mat_trace(rep.s), _mat_trace(u), rho_u=u)
 
 
-@dataclass(frozen=True)
-class Multiplicities:
+class Multiplicities(_Record):
     """Eigenvalue multiplicities of the evenized representation:
     alpha for -1 under S, beta1/beta2 for the primitive cube roots under U."""
 
-    alpha: int
-    beta1: int
-    beta2: int
+    __slots__ = ("alpha", "beta1", "beta2")
 
     def __add__(self, other: Multiplicities) -> Multiplicities:
         return Multiplicities(self.alpha + other.alpha,

@@ -13,21 +13,18 @@ are sliced from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import ConsistencyError
+from .exactfield import _Record
 from .qseries import QSeries
 
 
-@dataclass(frozen=True)
-class RemainderTriple:
+class RemainderTriple(_Record):
     """Non-negative remainders of -n modulo 2 and 3, plus the balancing
     power of the discriminant; 4*r3 + 6*r2 + 12*r_inf = 2n always."""
 
-    r2: int
-    r3: int
-    r_inf: int
+    __slots__ = ("r2", "r3", "r_inf")
 
 
 def remainders(n: int) -> RemainderTriple:

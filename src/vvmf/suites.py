@@ -8,34 +8,28 @@ for identical inputs and seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import SUITE_NAMES
-from .detlab import (FormVector, check_generator_determinant, det_n, det_zero,
-                     exterior_product, shifted_exterior_product)
 from .errors import ConsistencyError, PrecisionError
-from .qseries import QSeries
-from .replib import Multiplicities, direct_sum, linear_character, multiplicities
-from .scalarforms import (_verify_gen_product, count_congruent, discriminant,
-                          eisenstein, eta_squared, hauptmodul, remainder_carry,
-                          remainders)
-from .weightcalc import (WeightMultiset, _hilbert_check, check_hilbert_poly,
-                         dimension_series, enumerate_weight_multisets, weight_profile)
+from .exactfield import _Record
+
+# Each suite imports the modules it runs, so that ``verify scalar`` loads no
+# representation, weight or determinant code.
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    case_id: str
-    passed: bool
-    detail: str = ""
+class CaseResult(_Record):
+    """One case: its id, whether it passed, and what failed if it did not."""
+
+    __slots__ = ("case_id", "passed", "detail")
+
+    def __init__(self, case_id: str, passed: bool, detail: str = ""):
+        super().__init__(case_id, passed, detail)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    suite: str
-    order: int
-    seed: int
-    cases: tuple[CaseResult, ...]
+class SuiteResult(_Record):
+    """A suite's name, order and seed, and its cases, a tuple of CaseResult."""
+
+    __slots__ = ("suite", "order", "seed", "cases")
 
     @property
     def passed(self) -> bool:
@@ -74,6 +68,9 @@ def _case(case_id: str, ok: bool, detail: str = "") -> CaseResult:
 
 
 def _scalar_suite(order: int, seed: int) -> list[CaseResult]:
+    from .scalarforms import (_verify_gen_product, discriminant, eisenstein, eta_squared,
+                              hauptmodul, remainder_carry, remainders)
+
     cases = []
     e4 = eisenstein(4, order)
     e6 = eisenstein(6, order)
@@ -124,6 +121,8 @@ def _scalar_suite(order: int, seed: int) -> list[CaseResult]:
 
 
 def _counting_suite(order: int, seed: int) -> list[CaseResult]:
+    from .scalarforms import count_congruent
+
     rng = random.Random(seed)
     cases = []
     for i in range(500):
@@ -141,6 +140,9 @@ def _counting_suite(order: int, seed: int) -> list[CaseResult]:
 
 
 def _kappa_suite(order: int, seed: int) -> list[CaseResult]:
+    from .replib import linear_character
+    from .weightcalc import WeightMultiset, check_hilbert_poly, dimension_series
+
     cases = []
     for j in range(12):
         # The counts of the one weight k = j // 2 are the character's pattern.
@@ -165,6 +167,10 @@ def _kappa_suite(order: int, seed: int) -> list[CaseResult]:
 
 
 def _sums_suite(order: int, seed: int) -> list[CaseResult]:
+    from .replib import Multiplicities, direct_sum, linear_character, multiplicities
+    from .weightcalc import (WeightMultiset, _hilbert_check, enumerate_weight_multisets,
+                             weight_profile)
+
     rng = random.Random(seed)
     chars = [linear_character(j) for j in range(12)]
     char_mults = [multiplicities(c) for c in chars]
@@ -192,6 +198,12 @@ def _sums_suite(order: int, seed: int) -> list[CaseResult]:
 
 
 def _det_suite(order: int, seed: int) -> list[CaseResult]:
+    from .detlab import (FormVector, check_generator_determinant, det_n, det_zero,
+                         exterior_product, shifted_exterior_product)
+    from .qseries import QSeries
+    from .replib import linear_character
+    from .scalarforms import eta_squared
+
     # Operands that several cases share are built once per run; every case
     # still makes its own comparison.
     cases = []
@@ -235,7 +247,10 @@ def _det_suite(order: int, seed: int) -> list[CaseResult]:
     return cases
 
 
-def _delta_power(k: int, order: int) -> QSeries:
+def _delta_power(k: int, order: int):
+    from .qseries import QSeries
+    from .scalarforms import eta_squared
+
     return eta_squared(order) ** k if k else QSeries.constant(1, order)
 
 
@@ -246,3 +261,12 @@ _SUITES = {
     "sums": _sums_suite,
     "det": _det_suite,
 }
+
+
+def __getattr__(name: str):
+    # perfbench's tracing test reads vvmf.suites.exterior_product, which the
+    # det suite imports only when it runs; it is detlab's at each access.
+    if name == "exterior_product":
+        from .detlab import exterior_product
+        return exterior_product
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,10 +28,9 @@ product of binomials counts that work in advance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
 
-from .exactfield import CycNumber, root_of_unity
+from .exactfield import CycNumber, _Record, root_of_unity
 from .replib import Multiplicities, RepSpec, _counts, _subfield, traces
 
 # Evaluation points, all inside Q(zeta_12).
@@ -44,16 +43,14 @@ ZETA3_INV = root_of_unity(12, 8)
 MAX_CANDIDATES = 500_000
 
 
-@dataclass(frozen=True, slots=True)
-class WeightMultiset:
+class WeightMultiset(_Record):
     """Candidate fundamental weights, stored as normalized k_i with
     w_i = 2*k_i + epsilon."""
 
-    epsilon: int
-    ks: tuple[int, ...]
+    __slots__ = ("epsilon", "ks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(sorted(self.ks)))
+    def __init__(self, epsilon: int, ks):
+        super().__init__(epsilon, tuple(sorted(ks)))
 
     @property
     def size(self) -> int:
@@ -74,16 +71,12 @@ class WeightMultiset:
         return acc
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Everything the traces say about the fundamental weights."""
+class WeightProfile(_Record):
+    """Everything the traces say about the fundamental weights: the counts
+    are ints, the values at -i, zeta_3 and zeta_3^-1 CycNumbers."""
 
-    count_k_odd: int
-    count_k_mod3_1: int
-    count_k_mod3_2: int
-    at_minus_i: CycNumber
-    at_zeta: CycNumber
-    at_zeta_inv: CycNumber
+    __slots__ = ("count_k_odd", "count_k_mod3_1", "count_k_mod3_2",
+                 "at_minus_i", "at_zeta", "at_zeta_inv")
 
 
 def weight_profile(rep: RepSpec) -> WeightProfile:
@@ -96,18 +89,12 @@ def weight_profile(rep: RepSpec) -> WeightProfile:
     return WeightProfile(mult.alpha, mult.beta1, mult.beta2, data.s, data.u_inv, data.u)
 
 
-@dataclass(frozen=True)
-class HilbertCheck:
-    """Per-constraint report for a candidate weight multiset."""
+class HilbertCheck(_Record):
+    """Per-constraint report for a candidate weight multiset: a bool per
+    constraint, and the int weight sum; true when every constraint holds."""
 
-    value_at_minus_i: bool
-    value_at_zeta: bool
-    value_at_zeta_inv: bool
-    count_odd: bool
-    count_mod3_1: bool
-    count_mod3_2: bool
-    weight_sum: int
-    weight_sum_nonneg: bool
+    __slots__ = ("value_at_minus_i", "value_at_zeta", "value_at_zeta_inv", "count_odd",
+                 "count_mod3_1", "count_mod3_2", "weight_sum", "weight_sum_nonneg")
 
     @property
     def passed(self) -> bool:

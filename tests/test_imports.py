@@ -35,12 +35,13 @@ finally:
 """
 
 # The modules each subcommand loads: the one it runs and what that imports.
-# So analyze loads no series or suite code, and det no weight enumeration.
+# So analyze loads no series or suite code, det no weight enumeration, and
+# each suite only the modules it runs.
 LOADED = {
     "series": {"errors", "exactfield", "qseries", "scalarforms"},
     "analyze": {"errors", "exactfield", "replib", "weightcalc"},
-    "verify": {"errors", "exactfield", "qseries", "scalarforms", "replib", "weightcalc",
-               "detlab", "suites"},
+    "verify": {"errors", "exactfield", "replib", "weightcalc", "suites"},  # the kappa suite
+    "verify scalar": {"errors", "exactfield", "qseries", "scalarforms", "suites"},
     "det": {"errors", "exactfield", "qseries", "scalarforms", "replib", "detlab"},
 }
 
@@ -92,17 +93,22 @@ ARGV = {
     "series": ["series", "J"],
     "analyze": ["analyze", "{rep}", "--enumerate", "--format", "json"],
     "verify": ["verify", "kappa"],
+    "verify scalar": ["verify", "scalar"],
     "det": ["det", "{gens}", "{rep}"],
 }
 
 
-@pytest.mark.parametrize("command", sorted(LOADED))
-def test_each_subcommand_loads_only_what_it_runs(command, inputs, tmp_path):
-    argv = [a.format(**inputs) for a in ARGV[command]] + ["--order", "8"]
+@pytest.mark.parametrize("case", sorted(LOADED))
+def test_each_subcommand_loads_only_what_it_runs(case, inputs, tmp_path):
+    argv = [a.format(**inputs) for a in ARGV[case]] + ["--order", "8"]
+    command = argv[0]
     code, modules = _run_cli(tmp_path, *argv)
     assert code == 0
-    assert _vvmf(modules) == LOADED[command]
+    assert _vvmf(modules) == LOADED[case]
     assert "vvmf.cli" not in modules  # no library module imports the front end
+    # The value types are plain classes: nothing loads dataclasses, and with
+    # it inspect, ast, dis and tokenize.
+    assert not {"dataclasses", "inspect"} & set(modules)
     # The command's module is imported before the parser, and before json
     # where json is used at all (files to read, or a JSON report).
     first = modules.index(f"vvmf.{cli.COMMAND_MODULES[command]}")
@@ -140,11 +146,13 @@ def test_unknown_attributes_raise_attribute_error():
 
 
 def test_cli_exterior_product_is_detlabs_at_each_access(monkeypatch):
-    from vvmf import detlab
+    from vvmf import detlab, suites
 
-    assert cli.exterior_product is detlab.exterior_product
+    assert cli.exterior_product is suites.exterior_product is detlab.exterior_product
     monkeypatch.setattr(detlab, "exterior_product", lambda vectors: None)
-    assert cli.exterior_product is detlab.exterior_product
+    assert cli.exterior_product is suites.exterior_product is detlab.exterior_product
+    with pytest.raises(AttributeError, match="nosuch"):
+        suites.nosuch  # noqa: B018
 
 
 def test_suite_names_are_one_tuple():

@@ -4,6 +4,10 @@
 coefficient loops that ``QSeries`` multiplied and divided with before the
 Kronecker product and the Newton inverse.  They are kept here unchanged as
 the reference: every seeded case must give the same ``to_record()``.
+
+``oracle_from_record`` is how ``QSeries.from_record`` read a series record
+before it read each coefficient's coordinates straight into ``nums``: one
+``CycNumber`` per coefficient record, then the values flattened.
 """
 
 import math
@@ -13,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from vvmf.errors import PrecisionError
-from vvmf.exactfield import CycNumber, euler_phi
+from vvmf.exactfield import CycNumber, _check_order, _coerce, euler_phi, parse_rational
 from vvmf.qseries import QSeries
 
 _ZERO = Fraction(0)
@@ -594,3 +598,133 @@ def test_results_are_stored_in_lowest_terms(kind):
         a, b, c = rand_series(rng, kind), divisor(rng, kind), rand_scalar(rng, kind)
         for s in (a, b, a + b, a - b, a * b, a / b, b.inverse(), a * c, -a, a.shift(1, 12)):
             assert_stored_form(s)
+
+
+# -- reading a series record -------------------------------------------------
+# oracle_make and oracle_flatten are CycNumber.make and qseries._flatten as
+# they were when QSeries.from_record built one CycNumber per coefficient.
+
+def oracle_make(order: int, coeffs) -> CycNumber:
+    _check_order(order)
+    vals = tuple(c if isinstance(c, Fraction) else parse_rational(c) for c in coeffs)
+    phi = euler_phi(order)
+    if len(vals) != phi:
+        raise ValueError(f"order {order} needs {phi} coefficients, got {len(vals)}")
+    return CycNumber(order, vals)
+
+
+def oracle_flatten(values) -> tuple:
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return 1, 1, values, None
+    cs = [c and c.demoted() for c in map(_coerce, values)]
+    if None in cs:
+        raise TypeError(f"cannot use {values[cs.index(None)]!r} as a series coefficient")
+    kinds = {c.order for c in cs} - {1}
+    order, den = math.lcm(*kinds), math.lcm(*(c.den for c in cs))
+    nums = [x * (den // c.den) for c in cs for x in c.lift(order).num]
+    return order, den, nums, tuple(c.order for c in cs) if len(kinds) > 1 else None
+
+
+def oracle_from_record(record: dict) -> QSeries:
+    grid, lead, valid_to = int(record["grid"]), int(record["lead"]), int(record["valid_to"])
+    values = [oracle_make(int(r["order"]), r["coeffs"]) for r in record["coeffs"]]
+    return QSeries._normal(grid, lead, valid_to, 1, *oracle_flatten(values))
+
+
+# Wire forms of a coordinate: integers, fractions, decimals, exponents, the
+# U+2212 minus sign, surrounding whitespace, explicit signs and JSON numbers.
+WIRE = ["0", "0", "1", "-2", "17", "3/4", "-5/6", "10/4", "1.25", "-0.5", "2e1", "1E-1",
+        "\u22123", "\u22121/2", " 4 ", "+5", "\t-6\n", 3, 0, -1, 0.5]
+
+
+def rand_record(rng) -> dict:
+    kinds = rng.choice([(1,), (3,), (12,), (1, 3), (1, 4), (3, 4), (1, 3, 4, 12), (4, 12)])
+    lead, n = rng.randint(-6, 6), rng.randint(0, 14)
+    coeffs = []
+    for _ in range(n):
+        order = rng.choice(kinds)
+        phi = euler_phi(order)
+        shape = rng.random()
+        if shape < 0.2:  # zero
+            coords = ["0"] * phi
+        elif shape < 0.35:  # rational, at any order
+            coords = [rng.choice(WIRE)] + ["0"] * (phi - 1)
+        else:
+            coords = [rng.choice(WIRE) for _ in range(phi)]
+        coeffs.append({"order": order, "coeffs": coords})
+    return {"grid": rng.choice([1, 2, 3, 12]), "lead": lead,
+            "valid_to": lead + n, "coeffs": coeffs}
+
+
+def broken(rng, record: dict) -> dict:
+    """``record`` with one fault: a malformed coefficient, or a window that
+    does not fit the coefficients, or a grid below 1."""
+    record = {**record, "coeffs": [dict(c) for c in record["coeffs"]]}
+    fault = rng.randrange(11)
+    if fault == 0:
+        record["valid_to"] = record["lead"] + len(record["coeffs"]) + 1
+    elif fault == 1:
+        record["grid"] = 0
+    elif fault == 2:
+        record["coeffs"].append({"order": 360, "coeffs": ["0", "1"] + ["0"] * 94})
+        record["coeffs"].append({"order": 7, "coeffs": ["0", "1", "0", "0", "0", "0"]})
+    else:
+        if not record["coeffs"]:
+            record["coeffs"].append({"order": 1, "coeffs": ["1"]})
+        c = rng.choice(record["coeffs"])
+        if fault == 3:
+            c["coeffs"] = c["coeffs"] + ["1"]
+        elif fault == 4:
+            c["coeffs"] = c["coeffs"][1:]
+        elif fault in (5, 6):
+            c["order"] = (0, 361)[fault - 5]
+        elif fault == 7:
+            c["order"] = "twelve"
+        elif fault == 8:
+            del c["order"]
+        elif fault == 9:
+            c["coeffs"] = len(c["coeffs"])  # not a list
+        else:
+            c["coeffs"] = [*c["coeffs"][:-1], ("x", "1/0", None, "1//2")[rng.randrange(4)]]
+    return record
+
+
+def _read_outcome(read, record):
+    try:
+        return read(record)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_record_reader_matches_the_cycnumber_route():
+    rng, kinds = random.Random("records"), set()
+    for i in range(400):
+        record = rand_record(rng)
+        if i % 2:
+            record = broken(rng, record)
+        got, want = _read_outcome(QSeries.from_record, record), _read_outcome(oracle_from_record,
+                                                                               record)
+        if isinstance(want, QSeries):
+            assert isinstance(got, QSeries) and got.to_record() == want.to_record()
+            assert (got.grid, got.lead, got.valid_to, got.step, got.order, got.den, got.nums,
+                    got.orders) == (want.grid, want.lead, want.valid_to, want.step, want.order,
+                                    want.den, tuple(want.nums), want.orders)
+            assert_stored_form(got)
+            kinds.add(("series", got.order, got.orders is not None, got.den > 1))
+        else:
+            assert got == want, record
+            kinds.add(want[0])
+    # Every outcome was reached: mixed orders, denominators, and each error type.
+    assert {KeyError, TypeError, ValueError, ZeroDivisionError} <= kinds
+    assert ("series", 12, True, True) in kinds and ("series", 1, False, True) in kinds
+
+
+def test_record_reader_builds_no_field_elements(monkeypatch):
+    rng, built = random.Random("no-cyc"), []
+    records = [rand_record(rng) for _ in range(20)]
+    init = CycNumber.__init__
+    monkeypatch.setattr(CycNumber, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    for record in records:
+        QSeries.from_record(record)
+    assert built == []

@@ -52,7 +52,6 @@ vvmf: direct sums of characters, even and odd, and symmetric powers of the
 defining representation, where rho(T) is one Jordan block.
 """
 
-import dataclasses
 import functools
 import importlib.util
 import json
@@ -69,7 +68,7 @@ from vvmf.cli import main
 from vvmf.detlab import det_n
 from vvmf.errors import RepValidationError
 from vvmf.exactfield import CycNumber, _row_reduce, _solve_exact, euler_phi, root_of_unity
-from vvmf.replib import (Multiplicities, TraceData, _identity, _mat, _mat_eq, _mat_scale,
+from vvmf.replib import (Multiplicities, RepSpec, TraceData, _identity, _mat, _mat_eq, _mat_scale,
                          _mat_trace, _min_poly, _squarefree, direct_sum, load_rep, make_rep,
                          multiplicities, t_is_semisimple, traces, twist)
 from vvmf.scalarforms import e4_e6_delta
@@ -539,7 +538,8 @@ def _outcome(fn, rep):
 
 def test_multiplicities_match_the_twisting_route():
     reps = [_rep(key) for key in sorted(RECORDS)] + list(_derived())
-    flipped = [dataclasses.replace(rep, epsilon=1 - rep.epsilon) for rep in reps]
+    flipped = [RepSpec(rep.name, rep.dimension, rep.order, rep.s, rep.t, 1 - rep.epsilon, rep.rho_u)
+               for rep in reps]
     kinds = set()
     for rep in reps + flipped:
         got = _outcome(multiplicities, rep)
@@ -603,7 +603,8 @@ def _det_n_outcome(route, rep, n):
 
 def test_det_n_matches_the_twisting_route():
     reps = [_rep(key) for key in sorted(RECORDS)] + list(_derived())
-    flipped = [dataclasses.replace(rep, epsilon=1 - rep.epsilon) for rep in reps]
+    flipped = [RepSpec(rep.name, rep.dimension, rep.order, rep.s, rep.t, 1 - rep.epsilon, rep.rho_u)
+               for rep in reps]
     kinds = set()
     for rep in reps + flipped:
         for n in range(-3, 4):
@@ -823,6 +824,29 @@ def test_min_poly_stops_at_the_first_dependence(monkeypatch):
     assert got == [-1, 0, 0, 0, 0, 0, 1]
     products.clear()
     assert t_is_semisimple(rep) and len(products) == 5
+
+
+def test_the_inverse_trace_is_summed_only_when_read(monkeypatch):
+    rep = load_rep(pin_record())
+    products = []
+    multiply = CycNumber.__mul__
+    monkeypatch.setattr(CycNumber, "__mul__",
+                        lambda self, other: products.append(1) or multiply(self, other))
+    data = traces(rep)
+    assert products == []
+    # Only the products that read Tr S and Tr U in their subfields and scale
+    # them by kappa^j; none of the d^2 behind Tr U^-1.
+    got = multiplicities(rep)
+    count = len(products)
+    products.clear()
+    replib._counts(TraceData(data.s, data.u, CycNumber.zero()), rep.dimension, -rep.epsilon)
+    assert len(products) == count and got == oracle_multiplicities(rep)
+    want = oracle_traces(rep)
+    products.clear()
+    assert _records(data) == _records(want) and products
+    count = len(products)
+    assert data.u_inv.to_record() == want.u_inv.to_record() and len(products) == count
+    assert data == want and repr(data) == repr(want)
 
 
 def test_inverse_orders_follow_the_elimination():

@@ -34,7 +34,6 @@ requests, with negative k and with totals that are odd, negative or out of
 reach.
 """
 
-import dataclasses
 import json
 import random
 from itertools import chain, combinations_with_replacement, product
@@ -44,7 +43,8 @@ from test_replib_oracle import DEFINING, EVEN_2, RECORDS, _conjugated, _derived,
 
 from vvmf import cli, weightcalc
 from vvmf.errors import RepValidationError
-from vvmf.replib import Multiplicities, linear_character, make_rep, multiplicities, traces
+from vvmf.replib import (Multiplicities, RepSpec, linear_character, make_rep, multiplicities,
+                         traces)
 from vvmf.weightcalc import (MINUS_I, ZETA3, ZETA3_INV, HilbertCheck, WeightMultiset,
                              check_hilbert_poly, count_weight_multisets,
                              enumerate_weight_multisets)
@@ -268,7 +268,8 @@ def _hilbert_multisets(rep) -> list[WeightMultiset]:
 
 def test_hilbert_check_matches_the_lifting_route():
     reps = [_rep(key) for key in sorted(RECORDS)] + list(_derived())
-    flipped = [dataclasses.replace(rep, epsilon=1 - rep.epsilon) for rep in reps]
+    flipped = [RepSpec(rep.name, rep.dimension, rep.order, rep.s, rep.t, 1 - rep.epsilon, rep.rho_u)
+               for rep in reps]
     kinds, checks = set(), 0
     for rep in reps + flipped:
         for ws in _hilbert_multisets(rep):
