@@ -23,11 +23,9 @@ _EXPORTS = {
     "qseries": ("QSeries",),
     "scalarforms": ("RemainderTriple", "count_congruent", "discriminant",
                     "divisor_power_sum", "eisenstein", "eta_squared", "gen_form",
-                    "hauptmodul", "named_form", "remainder_carry", "remainders",
-                    "verify_gen_product"),
+                    "hauptmodul", "named_form", "remainder_carry", "remainders"),
     "replib": ("Multiplicities", "RepSpec", "TraceData", "direct_sum", "linear_character",
-               "load_rep", "make_rep", "matrices_equal", "multiplicities",
-               "split_by_parity", "t_is_semisimple", "traces", "twist"),
+               "load_rep", "make_rep", "multiplicities", "t_is_semisimple", "traces"),
     "weightcalc": ("HilbertCheck", "WeightMultiset", "WeightProfile", "check_hilbert_poly",
                    "dimension_series", "enumerate_weight_multisets", "weight_profile"),
     "detlab": ("ExteriorProductResult", "FormVector", "GeneratorDeterminantReport",

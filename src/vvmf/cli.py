@@ -206,7 +206,7 @@ def _load(path: str, parse):
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-            ZeroDivisionError, RecursionError) as exc:
+            ZeroDivisionError, OverflowError, RecursionError) as exc:
         raise UsageError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 
 

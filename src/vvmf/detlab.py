@@ -111,7 +111,9 @@ def _determinant(m: list[list[QSeries]]) -> QSeries:
         memo[mask] = acc
         return acc
 
-    return minor((1 << d) - 1)
+    det = minor((1 << d) - 1)
+    memo.clear()  # minor's closure refers to itself: only the cycle collector would free it
+    return det
 
 
 def det_zero(rep: RepSpec, order: int) -> QSeries:

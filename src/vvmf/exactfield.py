@@ -12,6 +12,9 @@ and equality is coordinate-wise:
 A product convolves the integer coordinates directly and reduces modulo
 Phi_N, as the Kronecker kernel that multiplies series does per coefficient;
 the inverse divides the product of the Galois conjugates by the norm.
+Linear algebra over the field eliminates on rows of integer coordinates
+(``_gauss_jordan``), as ``reduce_order_to`` and the matrices of
+``vvmf.replib`` do.
 
 Mixed-order arithmetic lifts both operands to the field of order
 lcm(order_a, order_b) first.  All values are immutable and all operations are
@@ -315,7 +318,7 @@ class CycNumber(_Record):
         if g != 1:
             num, den = tuple(x // g for x in num), den // g
         _set(self, "order", order)
-        _set(self, "num", num)
+        _set(self, "num", tuple(num))
         _set(self, "den", den)
 
     @property
@@ -370,17 +373,24 @@ class CycNumber(_Record):
         """Express the element in Q(zeta_order) for order | self.order.
 
         Raises ValueError when the element does not lie in the subfield.
+
+        >>> root_of_unity(12, 4).reduce_order_to(3)
+        CycNumber(3, z3)
         """
         if order == self.order:
             return self
         if self.order % order != 0:
             raise ValueError(f"order {order} does not divide {self.order}")
-        rows, step = _reduction_rows(self.order), self.order // order
-        basis = [[CycNumber(1, (x,)) for x in rows[step * j]] for j in range(euler_phi(order))]
-        sol = _solve_exact(basis, [[CycNumber(1, (x,)) for x in self.num]])
-        if sol is None:
+        # The integer rows of [lift | num] at order 1, row i for coordinate i of
+        # sum_j y_j zeta_order^j = num; the lift is injective, so each y_j has a pivot.
+        lift, step, phi = _reduction_rows(self.order), self.order // order, euler_phi(order)
+        rows = [[lift[step * j][i] for j in range(phi)] + [x] for i, x in enumerate(self.num)]
+        _gauss_jordan(rows, phi, 1)
+        if any(row[-1] for row in rows[phi:]):
             raise ValueError(f"{self} does not lie in Q(zeta_{order})")
-        return CycNumber(order, tuple(x.as_rational() for x in sol[0]), self.den)
+        den = math.lcm(*(rows[j][j] for j in range(phi)))
+        return CycNumber(order, tuple(rows[j][-1] * (den // rows[j][j]) for j in range(phi)),
+                         self.den * den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -528,44 +538,51 @@ def root_of_unity(order: int, k: int) -> CycNumber:
     return CycNumber(order, _reduction_rows(order)[k % order])
 
 
-def _row_reduce(aug: list[list[CycNumber]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of the first ``ncols`` columns of ``aug`` in
-    place; returns the pivot columns, pivots[i] that of row i.  A column with
-    no pivot keeps its coordinates over the pivot columns before it."""
-    rows, pivots = len(aug), []
+# -- exact elimination on integer rows -----------------------------------------
+# A row holds phi(order) integer power-basis coordinates per entry, as the
+# slabs of vvmf.replib do; a multiple of a row stands for it, so a pivot is
+# scaled to an integer (_integral) and a row is cleared by integer
+# combinations (_eliminate): fraction-free, in the style of Bareiss (Math.
+# Comp. 22, 1968), but each row is divided by its content.
+
+def _lowest(xs: list[int], den: int = 0):
+    """xs and den over their gcd; with den = 0, xs over its content."""
+    g = math.gcd(den, *xs)
+    return ([x // g for x in xs], den // g) if g > 1 else (xs, den)
+
+
+def _integral(row: list[int], at: int, order: int) -> list[int]:
+    """``row`` over its content after scaling its entry ``at`` to an integer."""
+    phi = euler_phi(order)
+    inv = CycNumber(order, tuple(row[at * phi:(at + 1) * phi])).inverse()
+    return _lowest(_mul(row, inv.num, len(row) // phi, order))[0]
+
+
+def _eliminate(w: list[int], row: list[int], at: int, order: int) -> list[int]:
+    """n * w - w[at] * row over its content, n the integer entry ``at`` of
+    ``row`` (see _integral): a multiple of w - (w[at] / n) * row."""
+    phi = euler_phi(order)
+    scaled = _mul(row, w[at * phi:(at + 1) * phi], len(row) // phi, order)
+    return _lowest([row[at * phi] * x - y for x, y in zip(w, scaled)])[0]
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int, order: int) -> bool:
+    """Gauss-Jordan on the first ``ncols`` entries of integer rows, in place:
+    the pivot of column c is the first row from c with a nonzero entry there,
+    moved to row c and scaled by _integral, and every other row nonzero there
+    is cleared by _eliminate.  Whether each column has a pivot; the rows from
+    ``ncols`` up are then zero in all of them."""
+    phi = euler_phi(order)
     for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        if len(pivots) == rows:
-            break
-    return pivots
-
-
-def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
-    """Solve sum_j x_j * columns[j] = t over the field for every t in targets.
-
-    One ``_row_reduce``; free unknowns are set to zero.  Returns one
-    solution per target, or None when some target is out of reach.
-    """
-    rows, ncols = len(targets[0]), len(columns)
-    aug = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(rows)]
-    pivots = _row_reduce(aug, ncols)
-    # Inconsistent when a zeroed row keeps a nonzero target entry.
-    if any(not v.is_zero() for row in aug[len(pivots):] for v in row[ncols:]):
-        return None
-    rows_of = dict(zip(pivots, aug))
-    return [[rows_of[c][ncols + t] if c in rows_of else CycNumber.zero() for c in range(ncols)]
-            for t in range(len(targets))]
+        r = next((i for i in range(c, len(rows)) if any(rows[i][c * phi:(c + 1) * phi])), None)
+        if r is None:
+            return False
+        rows[c], rows[r] = rows[r], rows[c]
+        rows[c] = _integral(rows[c], c, order)
+        for i in range(len(rows)):
+            if i != c and any(rows[i][c * phi:(c + 1) * phi]):
+                rows[i] = _eliminate(rows[i], rows[c], c, order)
+    return True
 
 
 def _read(order: int, coeffs) -> tuple[tuple[int, ...], int]:

@@ -10,8 +10,7 @@ the weight profile, ``detlab.det_n``) reads a trace in the subfield it lies
 in, so none is lifted past the order of the representation.
 
 Only pure-parity representations are accepted: rho(S)^2 must be plus or
-minus the identity.  Mixed inputs must be split into parity blocks first
-(see split_by_parity).
+minus the identity.  Mixed inputs must be split into parity blocks first.
 """
 
 from __future__ import annotations
@@ -20,8 +19,9 @@ import math
 from operator import mul
 
 from .errors import RepValidationError
-from .exactfield import (CycNumber, _check_order, _coerce, _mul, _pack, _Record, _reduction_rows,
-                         _row_reduce, _set, _unpack, euler_phi, root_of_unity)
+from .exactfield import (CycNumber, _check_order, _coerce, _eliminate, _gauss_jordan, _integral,
+                         _lowest, _pack, _Record, _reduction_rows, _set, _unpack, euler_phi,
+                         root_of_unity)
 
 Matrix = tuple[tuple[CycNumber, ...], ...]
 
@@ -46,14 +46,6 @@ def _mat(rows) -> Matrix:
 def _identity(d: int) -> Matrix:
     return tuple(tuple(CycNumber.one() if i == j else CycNumber.zero()
                        for j in range(d)) for i in range(d))
-
-
-def _mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _mat_scale(a: Matrix, c: CycNumber) -> Matrix:
-    return tuple(tuple(v * c for v in row) for row in a)
 
 
 def _mat_trace(a: Matrix) -> CycNumber:
@@ -81,12 +73,6 @@ def _slab(m: Matrix, order: int):
     return [x * (den // c.den) for c in cells for x in c.num], den
 
 
-def _lowest(xs: list[int], den: int = 0):
-    """xs and den over their gcd; with den = 0, xs over its content."""
-    g = math.gcd(den, *xs)
-    return ([x // g for x in xs], den // g) if g > 1 else (xs, den)
-
-
 def _slab_mul(a, b, order: int):
     """a * b: each entry's coordinates packed into one int, at a slot width
     that bounds every sum, so a dot product is one sum of d int products;
@@ -104,26 +90,13 @@ def _slab_mul(a, b, order: int):
     return _lowest(out, xden * yden)
 
 
-def _integral(row: list[int], at: int, order: int) -> list[int]:
-    """``row`` over its content after scaling its entry ``at`` to an integer."""
-    phi = euler_phi(order)
-    inv = CycNumber(order, tuple(row[at * phi:(at + 1) * phi])).inverse()
-    return _lowest(_mul(row, inv.num, len(row) // phi, order))[0]
-
-
-def _eliminate(w: list[int], row: list[int], at: int, order: int) -> list[int]:
-    """n * w - w[at] * row over its content, n the integer entry ``at`` of
-    ``row`` (see _integral): a multiple of w - (w[at] / n) * row."""
-    phi = euler_phi(order)
-    scaled = _mul(row, w[at * phi:(at + 1) * phi], len(row) // phi, order)
-    return _lowest([row[at * phi] * x - y for x, y in zip(w, scaled)])[0]
-
-
 def _mat_inv(a: Matrix) -> Matrix:
     """Inverse over the cyclotomic field: Gauss-Jordan on the integer rows of
-    [a | I] with _row_reduce's pivots (the first row from c nonzero in column
-    c), each scaled to an integer instead of 1; every entry comes back at the
-    order _row_reduce's products and sums give it."""
+    [a | I], the pivot of column c the first row from c with a nonzero entry
+    in column c, each scaled to an integer instead of 1, as in _gauss_jordan.
+    Every entry comes back at the order that the same elimination over
+    CycNumber entries gives it: the lcm of the orders of the entries
+    combined into it."""
     d, order = len(a), _order(a)
     phi = euler_phi(order)
     nums, den = _slab(a, order)
@@ -177,10 +150,6 @@ class RepSpec(_Record):
             "S": [[c.to_record() for c in row] for row in self.s],
             "T": [[c.to_record() for c in row] for row in self.t],
         }
-
-
-def matrices_equal(a: RepSpec, b: RepSpec) -> bool:
-    return a.dimension == b.dimension and _mat_eq(a.s, b.s) and _mat_eq(a.t, b.t)
 
 
 def make_rep(name: str, s_rows, t_rows) -> RepSpec:
@@ -257,16 +226,6 @@ def linear_character(j: int) -> RepSpec:
     return make_rep(name, [[character_value("S", j)]], [[character_value("T", j)]])
 
 
-def twist(rep: RepSpec, j: int) -> RepSpec:
-    """Tensor with the j-th character power; parity flips with odd j."""
-    _check_order(order := math.lcm(rep.order, 12 if j % 12 else 1))
-    s = _mat_scale(rep.s, character_value("S", j))
-    t = _mat_scale(rep.t, character_value("T", j))
-    u = _mat_scale(rep.rho_u, character_value("U", j))
-    name = rep.name if j % 12 == 0 else f"{rep.name}*kappa^{j % 12}"
-    return RepSpec(name, rep.dimension, order, s, t, (rep.epsilon + j) % 2, u)
-
-
 def direct_sum(a: RepSpec, b: RepSpec) -> RepSpec:
     if a.epsilon != b.epsilon:
         raise RepValidationError(
@@ -276,21 +235,6 @@ def direct_sum(a: RepSpec, b: RepSpec) -> RepSpec:
     return RepSpec(f"{a.name}(+){b.name}", a.dimension + b.dimension, order,
                    _block_diag(a.s, b.s), _block_diag(a.t, b.t), a.epsilon,
                    _block_diag(a.rho_u, b.rho_u))
-
-
-def split_by_parity(blocks) -> tuple[RepSpec | None, RepSpec | None]:
-    """Direct-sum explicitly given pure-parity blocks into (even, odd) parts.
-
-    This is the supported route for mixed inputs; block structure is not
-    detected automatically.
-    """
-    even = odd = None
-    for block in blocks:
-        if block.epsilon == 0:
-            even = block if even is None else direct_sum(even, block)
-        else:
-            odd = block if odd is None else direct_sum(odd, block)
-    return even, odd
 
 
 # -- traces and multiplicities ------------------------------------------------
@@ -399,12 +343,15 @@ def t_is_semisimple(rep: RepSpec) -> bool:
 def _squarefree(p: list[CycNumber]) -> bool:
     """Whether gcd(p, p') = 1 (coefficients constant-first, p[-1] != 0, deg
     p = n >= 1): whether the (2n-1)x(2n-1) Sylvester matrix of p and p', n - 1
-    shifted rows of p over n of p', is nonsingular."""
-    n, zero = len(p) - 1, CycNumber.zero()
-    deriv = [c * i for i, c in enumerate(p)][1:]
-    rows = [[zero] * i + q + [zero] * (2 * n - 1 - i - len(q))
-            for q, count in ((p, n - 1), (deriv, n)) for i in range(count)]
-    return len(_row_reduce(rows, 2 * n - 1)) == 2 * n - 1
+    shifted rows of p over n of p', has a pivot in every column."""
+    n, order = len(p) - 1, _order((p,))
+    phi, size, deriv = euler_phi(order), 2 * n - 1, [c * i for i, c in enumerate(p)][1:]
+    # p and p' as integer coordinates at the lcm order, shifted along each
+    # row; dropping their denominators does not change the rank.
+    rows = [[0] * (i * phi) + xs + [0] * ((size - i) * phi - len(xs))
+            for xs, count in ((_slab((p,), order)[0], n - 1), (_slab((deriv,), order)[0], n))
+            for i in range(count)]
+    return _gauss_jordan(rows, size, order)
 
 
 def _min_poly(m: Matrix) -> list[CycNumber]:

@@ -226,7 +226,7 @@ def gen_form(n: int, order: int) -> QSeries:
     return out
 
 
-def verify_gen_product(n: int, m: int, order: int) -> bool:
+def _verify_gen_product(n: int, m: int, order: int, sides: dict) -> bool:
     """Check f_n * f_m / f_(n+m) = (J+744)^s3 * (J-984)^s2 exactly, without
     dividing: compare f_n * f_m with f_(n+m) * (J+744)^s3 * (J-984)^s2.
     f_(n+m) has a nonzero lead, so the two agree exactly when the quotient
@@ -234,16 +234,10 @@ def verify_gen_product(n: int, m: int, order: int) -> bool:
     by that lead.
 
     s3 and s2 are the remainder carries of (n, m) mod 3 and mod 2.  Raises
-    PrecisionError when the order leaves no comparison window.  Both sides
-    are built by ``_verify_gen_product``, here with no side shared.
-    """
-    return _verify_gen_product(n, m, order, {})
-
-
-def _verify_gen_product(n: int, m: int, order: int, sides: dict) -> bool:
-    """``verify_gen_product`` with the right sides of the total n + m at
-    ``order`` kept in ``sides`` by their carries (s3, s2): each is built
-    once, and one with s2 = 1 is the (s3, 0) side times J - 984."""
+    PrecisionError when the order leaves no comparison window.  The right
+    sides of the total n + m at ``order`` are kept in ``sides`` by their
+    carries (s3, s2): each is built once, and one with s2 = 1 is the (s3, 0)
+    side times J - 984."""
     lhs = gen_form(n, order) * gen_form(m, order)
     s3, s2 = remainder_carry(n, m, 3), remainder_carry(n, m, 2)
     if (s3, 0) not in sides:

@@ -8,6 +8,8 @@ plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 import random
 import time
 
+from test_scalarforms_oracle import verify_gen_product
+
 from vvmf.detlab import (FormVector, check_generator_determinant, det_n,
                          det_zero, exterior_product, weak_generating_set)
 from vvmf.exactfield import root_of_unity
@@ -15,8 +17,7 @@ from vvmf.qseries import QSeries
 from vvmf.replib import (Multiplicities, direct_sum, linear_character,
                          multiplicities, traces)
 from vvmf.scalarforms import (count_congruent, discriminant, eisenstein,
-                              eta_squared, hauptmodul, remainder_carry,
-                              verify_gen_product)
+                              eta_squared, hauptmodul, remainder_carry)
 from vvmf.weightcalc import (WeightMultiset, check_hilbert_poly,
                              dimension_series, enumerate_weight_multisets)
 

@@ -6,7 +6,8 @@ and at legal extremes: a negative ``--kmin``, ``f:-0``, a negative
 Python's limit on integer-to-string conversion (4,300 digits by default),
 the largest poles, absurd declared weights and a closed stdout; and on
 inputs that once raised or hung: JSON nested past the recursion limit, an
-exponent that would build a 30-million-digit integer, generators whose
+exponent that would build a 30-million-digit integer, integer fields past
+the float range (JSON's 1e400 reads as inf), generators whose
 coefficient orders combine past 360, and valid representations over
 Q(zeta_280) and Q(zeta_35), whose traces lie in smaller fields.
 An exception escaping ``main`` would be a traceback, so it fails the test.
@@ -212,6 +213,38 @@ def test_deep_nesting_is_malformed_input(argv, files, capsys):
 def test_exponent_past_the_digit_limit_is_malformed_input(files, capsys):
     err = _usage_error(["analyze", files["exponent"]], capsys)
     assert "malformed input (ValueError: the exponent of '1e30000000'" in err
+
+
+# Each integer field of an input file, as a path from the record: Python's
+# json reads a number past the float range as inf or -inf, which int() refuses
+# with OverflowError.
+INTEGER_FIELDS = {
+    "sum_rep": [("dimension",), ("cyclotomic_order",), ("S", 0, 0, "order")],
+    "gens": [("dimension",), ("generators", 0, "weight"),
+             *(("generators", 0, "components", 1, key) for key in ("grid", "lead", "valid_to")),
+             ("generators", 0, "components", 0, "coeffs", 0, "order")],
+}
+
+
+@pytest.mark.parametrize("value", ["1e400", "-1e400"])
+@pytest.mark.parametrize("key,field", [
+    pytest.param(key, field, id=f"{key}:{'.'.join(map(str, field))}")
+    for key, fields in INTEGER_FIELDS.items() for field in fields])
+def test_integers_past_the_float_range_are_malformed_input(key, field, value, files, tmp_path,
+                                                            capsys):
+    with open(files[key], encoding="utf-8") as fh:
+        record = json.load(fh)
+    node = record
+    for step in field[:-1]:
+        node = node[step]
+    node[field[-1]] = "@"
+    path = tmp_path / f"huge-{key}.json"
+    path.write_text(json.dumps(record).replace('"@"', value))
+    runs = [["det", str(path), files["sum_rep"]]] if key == "gens" else \
+        [["analyze", str(path)], ["det", files["gens"], str(path)]]
+    for argv in runs:
+        err = _usage_error(argv, capsys)
+        assert f"{path}: malformed input (OverflowError: cannot convert float infinity" in err
 
 
 def test_det_refuses_orders_that_combine_past_the_bound(files, capsys):

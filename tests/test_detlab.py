@@ -1,8 +1,11 @@
 """Exterior products and the determinant identities."""
 
+import gc
+
 import pytest
 
 from test_detlab_oracle import verify_det_ratio
+from vvmf import detlab
 from vvmf.detlab import (FormVector, check_generator_determinant, det_n,
                          det_zero, exterior_product, generators_from_record,
                          generators_to_record, weak_generating_set)
@@ -194,3 +197,22 @@ def test_generators_wire_round_trip():
     rec["dimension"] = 5
     with pytest.raises(ValueError):
         generators_from_record(rec)
+
+
+def test_the_cofactor_memo_is_freed_on_return():
+    # The memoised minors are held by a closure that refers to itself, so
+    # without clearing the memo its series would wait for the cycle collector.
+    m = [[QSeries.from_coeffs([i + j, 1, i * j], lead=0, valid_to=3) for j in range(4)]
+         for i in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        det = detlab._determinant(m)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, QSeries)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == [] and det.valid_to == 3

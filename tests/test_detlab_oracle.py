@@ -41,6 +41,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_replib_oracle import twist
 
 from vvmf import detlab
 from vvmf.cli import main
@@ -49,7 +50,7 @@ from vvmf.detlab import (FormVector, det_n, det_zero, exterior_product,
 from vvmf.errors import ConsistencyError, PrecisionError
 from vvmf.exactfield import CycNumber, euler_phi
 from vvmf.qseries import QSeries
-from vvmf.replib import RepSpec, direct_sum, linear_character, multiplicities, twist
+from vvmf.replib import RepSpec, direct_sum, linear_character, multiplicities
 from vvmf.scalarforms import e4_e6_delta, eisenstein, eta_squared, gen_form
 
 ORDERS = (8, 32, 96)

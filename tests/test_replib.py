@@ -3,13 +3,13 @@
 import random
 
 import pytest
+from test_replib_oracle import matrices_equal, split_by_parity, twist
 
 from vvmf.errors import RepValidationError
 from vvmf.exactfield import CycNumber, root_of_unity
 from vvmf.replib import (Multiplicities, character_value, direct_sum,
                          linear_character, load_rep, make_rep,
-                         matrices_equal, multiplicities, split_by_parity,
-                         t_is_semisimple, traces, twist)
+                         multiplicities, t_is_semisimple, traces)
 
 I_UNIT = root_of_unity(4, 1)
 Z3 = root_of_unity(3, 1)

@@ -23,16 +23,30 @@ singular); and on random matrices with zero rows: the inverse by
 ``to_record()`` (or its message), the minimal polynomial and the square.
 On ``pin_record``'s rho(T), of degree 6, ``_min_poly`` takes five products.
 
-``reduced_min_poly`` row-reduces the powers of a matrix once; its oracle
-``oracle_min_poly`` restarts the solver for each degree.  ``_solve_exact`` is now ``_row_reduce`` plus a
-read-out; its oracle is the single loop it was split from.
+``exactfield``'s integer-row elimination (``_integral``, ``_eliminate`` and
+their loop ``_gauss_jordan``) is the package's one exact elimination.  The
+Gauss-Jordan over ``CycNumber`` entries it replaced, ``_row_reduce`` and
+``_solve_exact``, lives here verbatim: ``reduced_min_poly`` row-reduces the
+powers of a matrix once, its oracle ``oracle_min_poly`` restarts the solver
+for each degree, and ``_solve_exact``'s own oracle is the single loop it was
+split from.  ``oracle_reduce_order_to`` is ``CycNumber.reduce_order_to`` as
+one ``_solve_exact``; the two must give the same value at the same order, or
+the same message, for every divisor m of n = 1, 12, 35, 280 and 360, on
+elements inside Q(zeta_m) and outside it.  Neither the subfield read nor the
+squarefree test builds a ``CycNumber`` per matrix entry.
 
 ``t_is_semisimple`` asks ``_squarefree`` whether the Sylvester matrix of the
-minimal polynomial p and p' is nonsingular, by one ``_row_reduce``; its
-oracle ``_poly_gcd`` runs Euclid over the field, with ``_poly_divmod`` from
-``test_exactfield_oracle``.  They are compared on Jordan blocks and on random
-polynomials over Q(zeta_12) of degree 1 to 8, with and without repeated
+minimal polynomial p and p' has full rank, on integer rows at the lcm order
+of p; its oracle ``_poly_gcd`` runs Euclid over the field, with
+``_poly_divmod`` from ``test_exactfield_oracle``.  They are compared on
+Jordan blocks and on random polynomials of degree 1 to 8 over Q(zeta_12),
+over its subfields mixed and over Q(zeta_35), with and without repeated
 roots.
+
+``twist``, ``split_by_parity`` and ``matrices_equal`` (with ``_mat_scale`` and
+``_mat_eq``) had no caller in the package and live here as oracles: ``twist``
+scales the matrices by the character's values, as the twisting routes below
+did.
 
 ``multiplicities`` reads Tr U in Q(zeta_3), and an odd representation's Tr S
 in Q(i), before any lift, and scales the traces by the values of kappa^-1
@@ -67,10 +81,10 @@ from vvmf import replib
 from vvmf.cli import main
 from vvmf.detlab import det_n
 from vvmf.errors import RepValidationError
-from vvmf.exactfield import CycNumber, _row_reduce, _solve_exact, euler_phi, root_of_unity
-from vvmf.replib import (Multiplicities, RepSpec, TraceData, _identity, _mat, _mat_eq, _mat_scale,
-                         _mat_trace, _min_poly, _squarefree, direct_sum, load_rep, make_rep,
-                         multiplicities, t_is_semisimple, traces, twist)
+from vvmf.exactfield import CycNumber, _check_order, _reduction_rows, euler_phi, root_of_unity
+from vvmf.replib import (Multiplicities, RepSpec, TraceData, _identity, _mat, _mat_trace,
+                         _min_poly, _squarefree, character_value, direct_sum, load_rep, make_rep,
+                         multiplicities, t_is_semisimple, traces)
 from vvmf.scalarforms import e4_e6_delta
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
@@ -87,6 +101,98 @@ inputs = _perfbench_inputs()
 
 
 # -- the replaced routes -------------------------------------------------------
+
+def _row_reduce(aug: list[list[CycNumber]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of the first ``ncols`` columns of ``aug`` in
+    place; returns the pivot columns, pivots[i] that of row i.  A column with
+    no pivot keeps its coordinates over the pivot columns before it."""
+    rows, pivots = len(aug), []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = aug[r][c].inverse()
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(rows):
+            if i != r and not aug[i][c].is_zero():
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return pivots
+
+
+def _solve_exact(columns, targets) -> list[list[CycNumber]] | None:
+    """Solve sum_j x_j * columns[j] = t over the field for every t in targets.
+
+    One ``_row_reduce``; free unknowns are set to zero.  Returns one
+    solution per target, or None when some target is out of reach.
+    """
+    rows, ncols = len(targets[0]), len(columns)
+    aug = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(rows)]
+    pivots = _row_reduce(aug, ncols)
+    # Inconsistent when a zeroed row keeps a nonzero target entry.
+    if any(not v.is_zero() for row in aug[len(pivots):] for v in row[ncols:]):
+        return None
+    rows_of = dict(zip(pivots, aug))
+    return [[rows_of[c][ncols + t] if c in rows_of else CycNumber.zero() for c in range(ncols)]
+            for t in range(len(targets))]
+
+
+def oracle_reduce_order_to(x, order):
+    """``CycNumber.reduce_order_to`` by one ``_solve_exact`` over order-1
+    ``CycNumber`` entries."""
+    if order == x.order:
+        return x
+    if x.order % order != 0:
+        raise ValueError(f"order {order} does not divide {x.order}")
+    rows, step = _reduction_rows(x.order), x.order // order
+    basis = [[CycNumber(1, (v,)) for v in rows[step * j]] for j in range(euler_phi(order))]
+    sol = _solve_exact(basis, [[CycNumber(1, (v,)) for v in x.num]])
+    if sol is None:
+        raise ValueError(f"{x} does not lie in Q(zeta_{order})")
+    return CycNumber(order, tuple(v.as_rational() for v in sol[0]), x.den)
+
+
+def _mat_eq(a, b) -> bool:
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _mat_scale(a, c):
+    return tuple(tuple(v * c for v in row) for row in a)
+
+
+def matrices_equal(a: RepSpec, b: RepSpec) -> bool:
+    return a.dimension == b.dimension and _mat_eq(a.s, b.s) and _mat_eq(a.t, b.t)
+
+
+def twist(rep: RepSpec, j: int) -> RepSpec:
+    """Tensor with the j-th character power; parity flips with odd j."""
+    _check_order(order := math.lcm(rep.order, 12 if j % 12 else 1))
+    s = _mat_scale(rep.s, character_value("S", j))
+    t = _mat_scale(rep.t, character_value("T", j))
+    u = _mat_scale(rep.rho_u, character_value("U", j))
+    name = rep.name if j % 12 == 0 else f"{rep.name}*kappa^{j % 12}"
+    return RepSpec(name, rep.dimension, order, s, t, (rep.epsilon + j) % 2, u)
+
+
+def split_by_parity(blocks) -> tuple[RepSpec | None, RepSpec | None]:
+    """Direct-sum explicitly given pure-parity blocks into (even, odd) parts.
+
+    This is the supported route for mixed inputs; block structure is not
+    detected automatically.
+    """
+    even = odd = None
+    for block in blocks:
+        if block.epsilon == 0:
+            even = block if even is None else direct_sum(even, block)
+        else:
+            odd = block if odd is None else direct_sum(odd, block)
+    return even, odd
+
 
 def _mat_mul(a, b):
     d = len(a)
@@ -427,6 +533,35 @@ def test_solve_exact_matches_the_single_loop():
                 [[x.to_record() for x in sol] for sol in expected]
 
 
+def _reduction_outcome(route, x, order):
+    try:
+        y = route(x, order)
+    except ValueError as exc:
+        return str(exc)
+    return y.order, y.num, y.den
+
+
+@pytest.mark.parametrize("n", [1, 12, 35, 280, 360])
+def test_reduce_order_to_matches_the_solve_exact_route(n):
+    """Every divisor m of n: an element of Q(zeta_m), of Q(zeta_k) for a
+    random k between m and n, and of Q(zeta_n) itself, each lifted to n, read
+    in Q(zeta_m) by both routes: the same value at the same order, or the
+    same message; below m = n the last is almost surely outside the field."""
+    rng = random.Random(f"reduce-order:{n}")
+    kinds = set()
+    for m in (k for k in range(1, n + 1) if n % k == 0):
+        between = rng.choice([k for k in range(m, n + 1) if n % k == 0 and k % m == 0])
+        xs = [_element(rng, k, zero=0.1, n=k).lift(n) for k in (m, between, n)]
+        for x in xs + [CycNumber(n, (0,) * euler_phi(n))]:
+            got = _reduction_outcome(CycNumber.reduce_order_to, x, m)
+            assert got == _reduction_outcome(oracle_reduce_order_to, x, m), (n, m, x)
+            kinds.add(type(got))
+    assert kinds == ({tuple} if n == 1 else {tuple, str})
+    one = CycNumber(n, (1,) + (0,) * (euler_phi(n) - 1))
+    assert _reduction_outcome(CycNumber.reduce_order_to, one, 11) == \
+        _reduction_outcome(oracle_reduce_order_to, one, 11) == f"order 11 does not divide {n}"
+
+
 def test_inversions_run_once_per_validated_representation(monkeypatch, tmp_path, capsys):
     calls = []
     inverse = replib._mat_inv
@@ -498,6 +633,65 @@ def test_squarefree_against_euclid_on_random_polynomials():
                 assert not got
             seen.add(got)
     assert seen == {True, False}
+    # Mixed orders: coefficients from the subfields of Q(zeta_12) and of
+    # Q(zeta_35), and a rational leading coefficient, so that p's entries lie
+    # in several fields and the Sylvester rows are read at their lcm order.
+    for orders, top in (((1, 3, 4, 12), 8), ((1, 5, 7, 35), 4)):
+        seen = set()
+        for degree in range(1, top + 1):
+            for trial in range(4):
+                terms = [_element(rng, 1, zero=0.2, n=rng.choice(orders)) for _ in range(degree)]
+                lead = CycNumber.from_rational(rng.choice((1, -2, Fraction(3, 2))))
+                repeated = trial % 2 == 1 and degree > 1
+                if trial < 2:  # linear factors, one root taken twice when ``repeated``
+                    if repeated:
+                        terms[-1] = terms[rng.randrange(degree - 1)]
+                    p = [lead]
+                    for r in terms:
+                        p = _poly_mul(p, [-r, CycNumber.one()])
+                elif repeated:  # lead * f * g^2, f and g monic
+                    g = terms[:degree // 2] + [CycNumber.one()]
+                    f = terms[degree // 2:degree - degree // 2] + [CycNumber.one()]
+                    p = [lead * c for c in _poly_mul(f, _poly_mul(g, g))]
+                else:
+                    p = terms + [lead]
+                assert len(p) == degree + 1 and p[-1].order == 1
+                got = _squarefree(p)
+                assert got == _euclid_squarefree(p), (orders, degree, trial)
+                if repeated:
+                    assert not got
+                seen.add(got)
+        assert seen == {True, False}, orders
+
+
+def test_eliminations_build_no_cycnumber_per_matrix_entry(monkeypatch):
+    """A subfield read builds two CycNumbers per pivot (``_integral``'s entry
+    and its inverse) and its result; the squarefree test one per coefficient of
+    p' and per lift of a coefficient of p or p', and two per pivot.  Either
+    matrix has many more entries."""
+    built, init = [], CycNumber.__init__
+    rng = random.Random("no-entry-numbers")
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    for n, m in ((360, 60), (280, 40), (12, 3)):
+        x = _element(rng, m, zero=0, n=m).lift(n)
+        monkeypatch.setattr(CycNumber, "__init__", counted)
+        y = x.reduce_order_to(m)
+        monkeypatch.undo()
+        assert y.order == m and y.lift(n) == x
+        assert len(built) <= 2 * euler_phi(m) + 1 < euler_phi(n) * (euler_phi(m) + 1), (n, m)
+        built.clear()
+    for orders, degree in (((1, 3, 4, 12), 8), ((1, 5, 7, 35), 4)):
+        p = [_element(rng, 1, zero=0, n=rng.choice(orders)) for _ in range(degree + 1)]
+        monkeypatch.setattr(CycNumber, "__init__", counted)
+        _squarefree(p)
+        monkeypatch.undo()
+        n = len(p) - 1
+        assert len(built) <= (n + 1) + (2 * n + 1) + 2 * (2 * n - 1) < (2 * n - 1) ** 2, orders
+        built.clear()
 
 
 def test_squarefree_on_jordan_blocks():
@@ -585,8 +779,8 @@ def test_sums_and_twists_past_the_order_bound_are_refused_up_front(monkeypatch):
     # representation needs order 840; no matrix is built before the refusal.
     even, kappa2 = _conjugated(EVEN_2, 280), replib.linear_character(2)
     built = []
-    for name in ("_block_diag", "_mat_scale"):
-        monkeypatch.setattr(replib, name, lambda *args: built.append(args))
+    monkeypatch.setattr(replib, "_block_diag", lambda *args: built.append(args))
+    monkeypatch.setitem(globals(), "_mat_scale", lambda *args: built.append(args))
     with pytest.raises(ValueError, match="order 840 exceeds the supported bound"):
         direct_sum(even, kappa2)
     with pytest.raises(ValueError, match="order 840 exceeds the supported bound"):

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_scalarforms_oracle import verify_gen_product
 
 from vvmf.scalarforms import (count_congruent, discriminant,
                               divisor_power_sum, eisenstein, eta_squared,
                               gen_form, hauptmodul, named_form,
-                              remainder_carry, remainders, verify_gen_product)
+                              remainder_carry, remainders)
 
 
 def brute_eta_power(power, order):

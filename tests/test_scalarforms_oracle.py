@@ -20,8 +20,10 @@ falling requests, and four threads extending one exponent at once, must get
 the oracle's series, and a series returned earlier must not change when its
 exponent's list is extended.
 
-``verify_gen_product`` compares f_n * f_m with f_(n+m) * (J+744)^s3 *
-(J-984)^s2; its oracle is the quotient route it replaced, kept verbatim as
+``verify_gen_product``, the body of the public wrapper that
+``scalarforms._verify_gen_product`` replaced, kept here as the entry point
+of its tests, compares f_n * f_m with f_(n+m) * (J+744)^s3 * (J-984)^s2; its
+oracle is the quotient route it replaced, kept verbatim as
 ``oracle_verify_gen_product``, which divides by f_(n+m).  The two must give
 the same bool or raise the same exception type, also on a corrupted f_n.
 """
@@ -34,10 +36,10 @@ import pytest
 from vvmf import scalarforms
 from vvmf.errors import ConsistencyError
 from vvmf.qseries import QSeries
-from vvmf.scalarforms import (_euler_power, _pentagonal, discriminant,
+from vvmf.scalarforms import (_euler_power, _pentagonal, _verify_gen_product, discriminant,
                               e4_e6_delta, eisenstein, eta_squared, gen_form,
                               gen_form_order, hauptmodul, remainder_carry,
-                              remainders, verify_gen_product)
+                              remainders)
 
 EXPONENTS = sorted({0, 1, -1, 2, -2, 24, -24, 400, -400,
                     *random.Random(8).sample(range(-400, 401), 12)})
@@ -210,6 +212,20 @@ def test_e4_e6_delta_matches_eta_squared_powers(a, order):
 def test_gen_form_matches_discriminant_powers(order):
     for n in range(-40, 41):
         assert gen_form(n, order).to_record() == oracle_gen_form(n, order).to_record(), n
+
+
+def verify_gen_product(n: int, m: int, order: int) -> bool:
+    """Check f_n * f_m / f_(n+m) = (J+744)^s3 * (J-984)^s2 exactly, without
+    dividing: compare f_n * f_m with f_(n+m) * (J+744)^s3 * (J-984)^s2.
+    f_(n+m) has a nonzero lead, so the two agree exactly when the quotient
+    identity holds, and their common window holds the quotient's, shifted
+    by that lead.
+
+    s3 and s2 are the remainder carries of (n, m) mod 3 and mod 2.  Raises
+    PrecisionError when the order leaves no comparison window.  Both sides
+    are built by ``_verify_gen_product``, here with no side shared.
+    """
+    return _verify_gen_product(n, m, order, {})
 
 
 def oracle_verify_gen_product(n: int, m: int, order: int) -> bool:

@@ -23,6 +23,7 @@ of series products is pinned, so that rebuilding right sides per pair fails.
 import random
 
 import pytest
+from test_scalarforms_oracle import verify_gen_product
 
 from vvmf import scalarforms
 from vvmf.detlab import (FormVector, check_generator_determinant, det_n, det_zero,
@@ -31,8 +32,7 @@ from vvmf.errors import PrecisionError
 from vvmf.qseries import QSeries
 from vvmf.replib import Multiplicities, direct_sum, linear_character, multiplicities
 from vvmf.scalarforms import (discriminant, eisenstein, eta_squared, gen_form,
-                              hauptmodul, remainder_carry, remainders,
-                              verify_gen_product)
+                              hauptmodul, remainder_carry, remainders)
 from vvmf.suites import CaseResult, _case, run_suite
 from vvmf.weightcalc import WeightMultiset, check_hilbert_poly, enumerate_weight_multisets
 

@@ -187,6 +187,16 @@ def test_constructors_normalise():
     assert QSeries(1, 0, 2, 1, 1, 1, (1, 2)).orders is None
 
 
+def test_coordinates_are_stored_as_a_tuple_whatever_they_are_given_as():
+    for num in ([1, 2], (1, 2), [Fraction(1), 2]):
+        x = CycNumber(4, num)
+        assert type(x.num) is tuple and x == CycNumber(4, (1, 2)) and x.num == (1, 2)
+    assert CycNumber(4, [1, 2]) == CycNumber(4, (1, 2)) == CycNumber(4, [2, 4], 2)
+    assert CycNumber(4, [1, 2]) - CycNumber(4, (1, 2)) == 0
+    coords = (1, 2, 0, 5)
+    assert CycNumber(12, coords).num is coords  # a tuple is kept, not copied
+
+
 @TYPES
 def test_copies_and_pickles_are_the_same_value(kind):
     value = CASES[kind][0]()
