@@ -87,15 +87,15 @@ TEXT_BLOCK_LINES = 1024
 
 def _json_blocks(payload: dict):
     """``payload`` as ``json.JSONEncoder(sort_keys=True, indent=2)`` encodes
-    it, in blocks.  That encoder has no C path with an indent, so non-empty
-    ``_Candidates`` under ``candidate_multisets`` are laid out here by hand,
-    as it would lay them out, between the encoder's text for the rest of the
-    payload."""
+    it, in blocks.  That encoder has no C path with an indent, so the rows
+    of ``_Candidates`` under ``candidate_multisets`` are laid out here by
+    hand, as it would lay them out, between the encoder's text for the rest
+    of the payload; a report with no candidates holds [] there instead."""
     import json
 
     encoder = json.JSONEncoder(sort_keys=True, indent=2)
     rows = payload.get("candidate_multisets")
-    if not isinstance(rows, _Candidates) or not rows:
+    if not isinstance(rows, _Candidates):
         # Blocks of encoder chunks, for the same reason as text blocks.
         chunks = encoder.iterencode(payload)
         while block := "".join(islice(chunks, 65536)):
@@ -123,38 +123,31 @@ class _Texts(dict):
         return text
 
 
-class _Candidates(list):
-    """A report's candidate weight multisets, as the walk's sorted k tuples.
-    Iterating gives each as its ``candidate_multisets`` row {"epsilon": int,
-    "ks": [int], "weights": [int]}, weights 2k + epsilon, so the payload is
-    what the json module would encode; the report lays the tuples out
-    itself, from the text of each k and weight, made once per k value on its
-    first use."""
+class _Candidates:
+    """A report's candidate weight multisets: ``ks``, the walk's list of
+    sorted k tuples, each with weights 2k + epsilon.  The report lays them
+    out itself, from the text of each k and weight, made once per k value on
+    its first use."""
 
-    def __init__(self, epsilon: int, candidates: list[tuple[int, ...]]):
-        super().__init__(candidates)
-        self.epsilon = epsilon
+    def __init__(self, epsilon: int, ks: list[tuple[int, ...]]):
+        self.epsilon, self.ks = epsilon, ks
         self.k_text = _Texts(int).__getitem__
         self.w_text = _Texts(lambda k: 2 * k + epsilon).__getitem__
-
-    def __iter__(self):
-        eps = self.epsilon
-        return ({"epsilon": eps, "ks": list(ks), "weights": [2 * k + eps for k in ks]}
-                for ks in super().__iter__())
 
     def text_lines(self):
         k_text, w_text = self.k_text, self.w_text
         return (f"  k = [{', '.join(map(k_text, ks))}]  ->  "
-                f"weights [{', '.join(map(w_text, ks))}]" for ks in super().__iter__())
+                f"weights [{', '.join(map(w_text, ks))}]" for ks in self.ks)
 
     def json_entries(self):
-        """Each row in the indent=2 layout at depth 2; a row's lists are
-        never empty, since a representation has dimension at least 1."""
+        """Each row {"epsilon": int, "ks": [int], "weights": [int]} in the
+        indent=2 layout at depth 2; a row's lists are never empty, since a
+        representation has dimension at least 1."""
         head = f'    {{\n      "epsilon": {self.epsilon},\n      "ks": [\n        '
         mid = '\n      ],\n      "weights": [\n        '
         sep, tail = ",\n        ", "\n      ]\n    }"
         return (head + sep.join(map(self.k_text, ks)) + mid + sep.join(map(self.w_text, ks)) + tail
-                for ks in super().__iter__())
+                for ks in self.ks)
 
 
 def _emit(args, payload: dict, lines) -> None:
@@ -293,15 +286,14 @@ def cmd_analyze(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         rows = _Candidates(rep.epsilon, candidates)
-        del candidates  # rows copied it: one list, not two, while the report is written
         if args.format == "json":
-            payload["candidate_multisets"] = rows
+            payload["candidate_multisets"] = rows if candidates else []
         else:
             lines.append(f"candidate weight multisets "
                          f"(k in [{args.kmin}, {args.kmax}]"
                          + (f", total weight {args.sum_w}" if args.sum_w is not None else "")
                          + "):")
-            lines = chain(lines, rows.text_lines() if rows else ["  none"])
+            lines = chain(lines, rows.text_lines() if candidates else ["  none"])
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -357,6 +349,10 @@ def cmd_det(args) -> int:
         raise UsageError(
             f"generators file has {len(vectors)} vectors but the "
             f"representation has dimension {rep.dimension}")
+    for i, v in enumerate(vectors, 1):
+        if len(v.components) != rep.dimension:
+            raise UsageError(f"generator {i} has {len(v.components)} components but the "
+                             f"representation has dimension {rep.dimension}")
     orders = sorted({c.order for v in vectors for c in v.components} - {1})
     if math.lcm(*orders) > MAX_FIELD_ORDER:
         raise UsageError(f"generator coefficients of cyclotomic orders {orders} combine to "

@@ -10,8 +10,10 @@ determinants across weights.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import PrecisionError
-from .exactfield import CycNumber, _Record
+from .exactfield import CycNumber, _read_int, _Record
 from .qseries import QSeries
 from .replib import RepSpec, _counts, traces
 from .scalarforms import e4_e6_delta, gen_form
@@ -32,7 +34,7 @@ class FormVector(_Record):
 
     @staticmethod
     def from_record(record: dict) -> FormVector:
-        return FormVector(int(record["weight"]),
+        return FormVector(_read_int(record["weight"]),
                           tuple(QSeries.from_record(c) for c in record["components"]))
 
 
@@ -48,7 +50,7 @@ def generators_to_record(rep_name: str, vectors) -> dict:
 def generators_from_record(record: dict) -> tuple[str, list[FormVector]]:
     vectors = [FormVector.from_record(g) for g in record["generators"]]
     declared = record.get("dimension")
-    if declared is not None and int(declared) != len(vectors):
+    if declared is not None and _read_int(declared) != len(vectors):
         raise ValueError("declared dimension does not match the generator count")
     return str(record.get("rep_name", "rep")), vectors
 
@@ -88,32 +90,28 @@ def _split_lead(det: QSeries) -> ExteriorProductResult:
 
 
 def _determinant(m: list[list[QSeries]]) -> QSeries:
-    """Cofactor expansion with memoization on column subsets.
+    """Cofactor expansion, one row at a time: after row r, ``minors`` maps
+    each set of r + 1 columns (a bit mask) to the minor on rows 0..r and
+    those columns, each expanded along its row r into the minors of row r - 1.
 
     Zero entries are multiplied through rather than skipped, so the validity
     window of the result stays conservative.
     """
     d = len(m)
-    memo: dict[int, QSeries] = {}
-
-    def minor(mask: int) -> QSeries:
-        if mask in memo:
-            return memo[mask]
-        cols = [j for j in range(d) if mask & (1 << j)]
-        row = len(cols) - 1
-        acc = None
-        for idx, j in enumerate(cols):
-            rest = mask ^ (1 << j)
-            term = m[row][j] if rest == 0 else m[row][j] * minor(rest)
-            if (row + idx) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        memo[mask] = acc
-        return acc
-
-    det = minor((1 << d) - 1)
-    memo.clear()  # minor's closure refers to itself: only the cycle collector would free it
-    return det
+    minors = {1 << j: x for j, x in enumerate(m[0])}
+    for r in range(1, d):
+        below = {}
+        for cols in combinations(range(d), r + 1):
+            mask = sum(1 << j for j in cols)
+            acc = None
+            for idx, j in enumerate(cols):
+                term = m[r][j] * minors[mask ^ (1 << j)]
+                if (r + idx) % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            below[mask] = acc
+        minors = below
+    return minors[(1 << d) - 1]
 
 
 def det_zero(rep: RepSpec, order: int) -> QSeries:

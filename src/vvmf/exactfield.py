@@ -513,7 +513,7 @@ class CycNumber(_Record):
 
     @staticmethod
     def from_record(record: dict) -> CycNumber:
-        return CycNumber.make(int(record["order"]), record["coeffs"])
+        return CycNumber.make(_read_int(record["order"]), record["coeffs"])
 
 
 _CYC_ZERO = CycNumber(1, (0,))
@@ -597,6 +597,17 @@ def _read(order: int, coeffs) -> tuple[tuple[int, ...], int]:
         raise ValueError(f"order {order} needs {phi} coefficients, got {len(vals)}")
     den = math.lcm(*(x.denominator for x in vals))
     return tuple(x.numerator * (den // x.denominator) for x in vals), den
+
+
+def _read_int(value) -> int:
+    """An integer field of the wire format: an int, an integral float or an
+    integer string, read as int() reads it.  A boolean, or a number with a
+    fractional part, is a ValueError; an infinite float keeps int()'s
+    OverflowError."""
+    n = int(value)
+    if isinstance(value, bool) or isinstance(value, float) and n != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
 
 
 def parse_rational(text) -> int | Fraction:

@@ -26,8 +26,8 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .exactfield import (CycNumber, _check_order, _coerce, _kronecker, _mul, _read, _Record,
-                         _set, _substitute, euler_phi)
+from .exactfield import (CycNumber, _check_order, _coerce, _kronecker, _mul, _read,
+                         _read_int, _Record, _set, _substitute, euler_phi)
 
 _ZERO = CycNumber.zero()
 
@@ -351,10 +351,10 @@ class QSeries(_Record):
     def from_record(record: dict) -> QSeries:
         """The series of a wire record; each coefficient record is read, as
         ``CycNumber.from_record`` reads it, straight into its coordinates."""
-        grid, lead, valid_to = int(record["grid"]), int(record["lead"]), int(record["valid_to"])
+        grid, lead, valid_to = (_read_int(record[key]) for key in ("grid", "lead", "valid_to"))
         terms = []
         for r in record["coeffs"]:
-            order = int(r["order"])
+            order = _read_int(r["order"])
             num, den = _read(order, r["coeffs"])
             terms.append((order, num, den) if any(num[1:]) else (1, num[:1], den))
         return QSeries._normal(grid, lead, valid_to, 1, *_join(terms))

@@ -20,8 +20,8 @@ from operator import mul
 
 from .errors import RepValidationError
 from .exactfield import (CycNumber, _check_order, _coerce, _eliminate, _gauss_jordan, _integral,
-                         _lowest, _pack, _Record, _reduction_rows, _set, _unpack, euler_phi,
-                         root_of_unity)
+                         _lowest, _pack, _read_int, _Record, _reduction_rows, _unpack,
+                         euler_phi, root_of_unity)
 
 Matrix = tuple[tuple[CycNumber, ...], ...]
 
@@ -197,12 +197,12 @@ def load_rep(record: dict) -> RepSpec:
     t = [[CycNumber.from_record(c) for c in row] for row in record["T"]]
     rep = make_rep(str(record.get("name", "rep")), s, t)
     declared = record.get("dimension")
-    if declared is not None and int(declared) != rep.dimension:
+    if declared is not None and _read_int(declared) != rep.dimension:
         raise RepValidationError(
             f"declared dimension {declared} does not match matrices ({rep.dimension})"
         )
     declared_order = record.get("cyclotomic_order")
-    if declared_order is not None and int(declared_order) % rep.order != 0:
+    if declared_order is not None and _read_int(declared_order) % rep.order != 0:
         raise RepValidationError(
             f"declared cyclotomic order {declared_order} cannot hold entries "
             f"of order {rep.order}"
@@ -240,35 +240,18 @@ def direct_sum(a: RepSpec, b: RepSpec) -> RepSpec:
 # -- traces and multiplicities ------------------------------------------------
 
 class TraceData(_Record):
-    """Tr rho(S), Tr rho(U) and Tr rho(U)^-1.  Given rho(U) in place of the
-    last, it sums Tr rho(U)^-1 on the first read of ``u_inv``."""
+    """Tr rho(S), Tr rho(U) and Tr rho(U)^-1."""
 
-    __slots__ = ("s", "u", "u_inv", "_rho_u")
-
-    def __init__(self, s: CycNumber, u: CycNumber, u_inv: CycNumber | None = None,
-                 rho_u: Matrix | None = None):
-        _set(self, "s", s)
-        _set(self, "u", u)
-        if u_inv is not None:
-            _set(self, "u_inv", u_inv)
-        _set(self, "_rho_u", rho_u)
-
-    def __getattr__(self, name: str):
-        """Reached only by a read of ``u_inv`` before it is set: Tr U^2 sums
-        the nonzero products U_ik * U_ki, the diagonal of U*U alone."""
-        if name != "u_inv":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        u = self._rho_u
-        _set(self, "u_inv", sum((x * u[k][i] for i, row in enumerate(u) for k, x in enumerate(row)
-                                 if not x.is_zero() and not u[k][i].is_zero()), CycNumber.zero()))
-        return self.u_inv
+    __slots__ = ("s", "u", "u_inv")
 
 
 def traces(rep: RepSpec) -> TraceData:
     """Exact traces of rho(S), rho(U) and rho(U)^-1 = rho(U)^2 with U = S*T^(-1);
-    the last is summed only when it is read (``TraceData.u_inv``)."""
+    Tr U^2 sums the nonzero products U_ik * U_ki, the diagonal of U*U alone."""
     u = rep.u()
-    return TraceData(_mat_trace(rep.s), _mat_trace(u), rho_u=u)
+    u_inv = sum((x * u[k][i] for i, row in enumerate(u) for k, x in enumerate(row)
+                 if not x.is_zero() and not u[k][i].is_zero()), CycNumber.zero())
+    return TraceData(_mat_trace(rep.s), _mat_trace(u), u_inv)
 
 
 class Multiplicities(_Record):

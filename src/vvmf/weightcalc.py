@@ -171,8 +171,10 @@ def count_weight_multisets(d: int, mult: Multiplicities, k_min: int,
     """Number of size-d multisets over [k_min, k_max] matching the
     congruence counts, before the total-weight filters: the number of
     candidates ``enumerate_weight_multisets`` walks."""
-    pools = _class_pools(k_min, k_max)
-    return sum(math.prod(_multichoose(len(pool), n) for pool, n in zip(pools, ns))
+    # The sizes of _class_pools(k_min, k_max), by arithmetic: len() fails on
+    # a range longer than sys.maxsize.
+    sizes = [max(0, (k_max - k_min - (r - k_min) % 6) // 6 + 1) for r in range(6)]
+    return sum(math.prod(_multichoose(m, n) for m, n in zip(sizes, ns))
                for ns in _class_counts(d, mult))
 
 

@@ -349,7 +349,8 @@ def test_large_json_report_is_written_whole(rep_file, capsys):
                          ids=["candidates", "none", "sum"])
 def test_candidate_json_is_the_encoders_layout(tmp_path, monkeypatch, capsys, extra, count):
     # The hand-laid candidate list against the encoder's own text for the
-    # payload _emit was given.
+    # payload _emit was given, its candidates as dict rows built from the
+    # walk's k tuples; no candidates are the encoder's [].
     rep = direct_sum(direct_sum(linear_character(2), linear_character(4)), linear_character(4))
     path = tmp_path / "k2k4k4.json"
     path.write_text(json.dumps(rep.to_record()))
@@ -358,8 +359,16 @@ def test_candidate_json_is_the_encoders_layout(tmp_path, monkeypatch, capsys, ex
                         emit(args, payloads.append(payload) or payload, lines))
     assert main(["analyze", str(path), "--format", "json", "--enumerate", *extra]) == 0
     [payload] = payloads
-    assert len(payload["candidate_multisets"]) == count
-    expected = json.JSONEncoder(sort_keys=True, indent=2).encode(payload) + "\n"
+    rows = payload["candidate_multisets"]
+    if count:
+        assert isinstance(rows, cli._Candidates) and len(rows.ks) == count
+        eps = rows.epsilon
+        rows = [{"epsilon": eps, "ks": list(ks), "weights": [2 * k + eps for k in ks]}
+                for ks in rows.ks]
+    else:
+        assert rows == []
+    expected = json.JSONEncoder(sort_keys=True, indent=2).encode(
+        {**payload, "candidate_multisets": rows}) + "\n"
     assert capsys.readouterr().out == expected
 
 

@@ -7,7 +7,8 @@ Python's limit on integer-to-string conversion (4,300 digits by default),
 the largest poles, absurd declared weights and a closed stdout; and on
 inputs that once raised or hung: JSON nested past the recursion limit, an
 exponent that would build a 30-million-digit integer, integer fields past
-the float range (JSON's 1e400 reads as inf), generators whose
+the float range (JSON's 1e400 reads as inf) or with a fractional part, a
+generator short of a component, a k range past sys.maxsize, generators whose
 coefficient orders combine past 360, and valid representations over
 Q(zeta_280) and Q(zeta_35), whose traces lie in smaller fields.
 An exception escaping ``main`` would be a traceback, so it fails the test.
@@ -25,9 +26,10 @@ from vvmf.detlab import FormVector, generators_to_record
 from vvmf.errors import UsageError
 from vvmf.exactfield import CycNumber, root_of_unity
 from vvmf.qseries import QSeries
-from vvmf.replib import direct_sum, linear_character
+from vvmf.replib import direct_sum, linear_character, multiplicities
 from vvmf.scalarforms import FORM_NAMES, eta_squared
 from vvmf.suites import SUITE_NAMES
+from vvmf.weightcalc import enumerate_weight_multisets
 
 # 2,500 digits: each loads, but a product of two has 5,000.
 BIG = 10 ** 2499 + 7
@@ -226,7 +228,7 @@ INTEGER_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("value", ["1e400", "-1e400"])
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "2.5", "true"])
 @pytest.mark.parametrize("key,field", [
     pytest.param(key, field, id=f"{key}:{'.'.join(map(str, field))}")
     for key, fields in INTEGER_FIELDS.items() for field in fields])
@@ -242,9 +244,33 @@ def test_integers_past_the_float_range_are_malformed_input(key, field, value, fi
     path.write_text(json.dumps(record).replace('"@"', value))
     runs = [["det", str(path), files["sum_rep"]]] if key == "gens" else \
         [["analyze", str(path)], ["det", files["gens"], str(path)]]
+    # An integer field with a fractional part, or a boolean, is no integer:
+    # int() alone reads 2.5 as 2 and true as 1.
+    want = "OverflowError: cannot convert float infinity" if value.endswith("e400") else \
+        f"ValueError: expected an integer, got {json.loads(value)!r}"
     for argv in runs:
         err = _usage_error(argv, capsys)
-        assert f"{path}: malformed input (OverflowError: cannot convert float infinity" in err
+        assert f"{path}: malformed input ({want}" in err
+
+
+def test_det_refuses_a_generator_with_the_wrong_component_count(files, tmp_path, capsys):
+    with open(files["gens"], encoding="utf-8") as fh:
+        record = json.load(fh)
+    del record["generators"][1]["components"][0]
+    path = _write(tmp_path / "short.json", record)
+    err = _usage_error(["det", path, files["sum_rep"]], capsys)
+    assert err == "error: generator 2 has 1 components but the representation has dimension 2\n"
+
+
+def test_a_k_range_past_the_word_size_meets_the_cap(files, capsys):
+    # len() of a range longer than sys.maxsize raises OverflowError; the
+    # count is taken by arithmetic, so the cap refuses it as any other.
+    kmax = 10 ** 20
+    err = _usage_error(["analyze", files["sum_rep"], "--enumerate", "--kmax", str(kmax)], capsys)
+    assert f"for k in [0, {kmax}], above the cap" in err
+    mult = multiplicities(direct_sum(linear_character(2), linear_character(4)))
+    with pytest.raises(ValueError, match="above the cap"):
+        enumerate_weight_multisets(2, 0, mult, 0, kmax)
 
 
 def test_det_refuses_orders_that_combine_past_the_bound(files, capsys):

@@ -200,8 +200,9 @@ def test_generators_wire_round_trip():
 
 
 def test_the_cofactor_memo_is_freed_on_return():
-    # The memoised minors are held by a closure that refers to itself, so
-    # without clearing the memo its series would wait for the cycle collector.
+    # The minors are freed by reference counting on return: a reference
+    # cycle, such as a closure that refers to itself, would hold their series
+    # until the cycle collector ran.
     m = [[QSeries.from_coeffs([i + j, 1, i * j], lead=0, valid_to=3) for j in range(4)]
          for i in range(4)]
     gc.collect()

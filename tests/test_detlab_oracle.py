@@ -32,6 +32,13 @@ canonical zero floors its window to a whole exponent, so that route can end
 short of the product's.  There the new window is larger, and it must not overclaim: the
 generators extended past their windows by random terms, and the scalar forms
 taken at a higher order, give a product that agrees with it through it.
+
+``detlab._determinant`` expands the cofactors one row at a time, each row's
+minors from the previous row's; its oracle is the memoised recursion on
+column subsets it replaced, kept verbatim as ``oracle_determinant``.  Each
+minor takes the same products and signed sums in the same order, so on the
+same seeded generator sets the two give the same records and reprs, or the
+same PrecisionError.
 """
 
 import importlib.util
@@ -438,6 +445,59 @@ def test_shifted_exterior_product_on_the_cyclo_det_files(seed):
                shifted_exterior_product(ext, vectors, ks, 0, 8).determinant]
     assert [w.valid_exponent() for w in windows] == \
         ([Fraction(23, 3)] * 2 if seed == 1 else [Fraction(19, 3), Fraction(23, 3)])
+
+
+def oracle_determinant(m: list[list[QSeries]]) -> QSeries:
+    """Cofactor expansion with memoization on column subsets.
+
+    Zero entries are multiplied through rather than skipped, so the validity
+    window of the result stays conservative.
+    """
+    d = len(m)
+    memo: dict[int, QSeries] = {}
+
+    def minor(mask: int) -> QSeries:
+        if mask in memo:
+            return memo[mask]
+        cols = [j for j in range(d) if mask & (1 << j)]
+        row = len(cols) - 1
+        acc = None
+        for idx, j in enumerate(cols):
+            rest = mask ^ (1 << j)
+            term = m[row][j] if rest == 0 else m[row][j] * minor(rest)
+            if (row + idx) % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        memo[mask] = acc
+        return acc
+
+    det = minor((1 << d) - 1)
+    memo.clear()  # minor's closure refers to itself: only the cycle collector would free it
+    return det
+
+
+def _exterior_outcome(route):
+    try:
+        ext = route()
+    except PrecisionError as exc:
+        return PrecisionError, str(exc)
+    return ([s.to_record() for s in (ext.determinant, ext.normalized)],
+            ext.leading_coefficient.to_record(), repr(ext))
+
+
+@pytest.mark.parametrize("structured, width", [(False, 4), (True, 8)])
+def test_the_row_loop_matches_the_memoised_recursion(structured, width):
+    """The same products and signed sums in the same order: the same series,
+    windows and coefficient orders, or the same PrecisionError."""
+    tally = {"singular": 0, "d = 5": 0}
+    for vectors, *_ in _generator_sets(24, 120, structured, width):
+        d = len(vectors)
+        m = [[v.components[i] for v in vectors] for i in range(d)]
+        old = _exterior_outcome(lambda: detlab._split_lead(oracle_determinant(m)))
+        assert _exterior_outcome(lambda: exterior_product(vectors)) == old
+        tally["singular"] += old[0] is PrecisionError
+        tally["d = 5"] += d == 5
+    assert tally["singular"] > 10 and tally["d = 5"] > 10
 
 
 def test_det_takes_one_determinant(monkeypatch, tmp_path, capsys):

@@ -216,9 +216,7 @@ def test_report_rows_match_the_multiset_layout(case):
     for request, expected in zip(CASES[case:case + 30], EXPECTED[case:case + 30]):
         rows = cli._Candidates(request[1], weightcalc._candidate_ks(*request))
         assert list(rows.text_lines()) == [text_line(ws) for ws in expected], request
-        oracle_rows = [json_row(ws) for ws in expected]
-        assert list(rows) == oracle_rows, request
-        assert list(rows.json_entries()) == [json_entry(r) for r in oracle_rows], request
+        assert list(rows.json_entries()) == [json_entry(json_row(ws)) for ws in expected], request
 
 
 # -- the Hilbert check without lifting -------------------------------------------
