@@ -124,12 +124,12 @@ class _Texts(dict):
 
 
 class _Candidates:
-    """A report's candidate weight multisets: ``ks``, the walk's list of
-    sorted k tuples, each with weights 2k + epsilon.  The report lays them
-    out itself, from the text of each k and weight, made once per k value on
-    its first use."""
+    """A report's candidate weight multisets: ``ks``, the walk's sorted k
+    tuples, each with weights 2k + epsilon.  The report lays them out as
+    they arrive, read once, from the text of each k and weight, made once
+    per k value on its first use."""
 
-    def __init__(self, epsilon: int, ks: list[tuple[int, ...]]):
+    def __init__(self, epsilon: int, ks):
         self.epsilon, self.ks = epsilon, ks
         self.k_text = _Texts(int).__getitem__
         self.w_text = _Texts(lambda k: 2 * k + epsilon).__getitem__
@@ -285,15 +285,16 @@ def cmd_analyze(args) -> int:
                                        args.kmin, args.kmax, args.sum_w)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        rows = _Candidates(rep.epsilon, candidates)
+        first = next(candidates, None)
+        rows = _Candidates(rep.epsilon, chain([first], candidates))
         if args.format == "json":
-            payload["candidate_multisets"] = rows if candidates else []
+            payload["candidate_multisets"] = rows if first else []
         else:
             lines.append(f"candidate weight multisets "
                          f"(k in [{args.kmin}, {args.kmax}]"
                          + (f", total weight {args.sum_w}" if args.sum_w is not None else "")
                          + "):")
-            lines = chain(lines, rows.text_lines() if candidates else ["  none"])
+            lines = chain(lines, rows.text_lines() if first else ["  none"])
     _emit(args, payload, lines)
     return EXIT_OK
 

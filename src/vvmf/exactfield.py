@@ -587,10 +587,12 @@ def _gauss_jordan(rows: list[list[int]], ncols: int, order: int) -> bool:
 
 def _read(order: int, coeffs) -> tuple[tuple[int, ...], int]:
     """The wire form of an element of Q(zeta_order), its phi(order)
-    coordinates as ints, Fractions or strings, as integer coordinates over
-    one positive denominator in lowest terms (the least common denominator
-    of the parsed coordinates)."""
+    coordinates as ints, Fractions or strings (a string is no list of them),
+    as integer coordinates over one positive denominator in lowest terms
+    (the least common denominator of the parsed coordinates)."""
     _check_order(order)
+    if isinstance(coeffs, str):
+        raise ValueError("expected a list of coefficients, got a string")
     vals = list(map(parse_rational, coeffs))
     phi = euler_phi(order)
     if len(vals) != phi:
@@ -615,8 +617,11 @@ def parse_rational(text) -> int | Fraction:
 
     An int or a plain ASCII integer ('-' at most) comes back as an int, which
     ``CycNumber`` stores as it is; every other form goes through Fraction.
+    A boolean is a ValueError.
     """
     if isinstance(text, int):
+        if isinstance(text, bool):
+            raise ValueError(f"expected a rational, got {text!r}")
         return int(text)
     if not isinstance(text, str):  # str first: isinstance against Fraction, an ABC, is slow
         if isinstance(text, Fraction):

@@ -16,7 +16,9 @@ solve this, and the candidates of one distribution are the products over r
 of the size-n_r multisets of the k in range that lie in class r.  So the
 enumeration does work in proportion to what it returns, and the same
 product of binomials counts that work in advance
-(``count_weight_multisets``):
+(``count_weight_multisets``).  Its memory is bounded as well: a walk over
+more than ``CHUNK_CANDIDATES`` candidates splits on its smallest k, and the
+candidates arrive in sorted chunks, never all at once:
 
 >>> m = Multiplicities(alpha=1, beta1=1, beta2=0)
 >>> count_weight_multisets(2, m, 0, 6)
@@ -28,6 +30,7 @@ product of binomials counts that work in advance
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import chain, combinations_with_replacement, product
 
 from .exactfield import CycNumber, _Record, root_of_unity
@@ -41,6 +44,10 @@ ZETA3_INV = root_of_unity(12, 8)
 # Enumerations that would walk more candidate multisets than this are
 # refused before they start (see ``count_weight_multisets``).
 MAX_CANDIDATES = 500_000
+
+# A walk over more candidates than this is split on its smallest k, so that
+# the enumeration holds at most this many candidate tuples at once.
+CHUNK_CANDIDATES = 4096
 
 
 class WeightMultiset(_Record):
@@ -179,10 +186,10 @@ def count_weight_multisets(d: int, mult: Multiplicities, k_min: int,
 
 
 def _candidate_ks(d: int, epsilon: int, mult: Multiplicities, k_min: int,
-                  k_max: int, sum_w: int | None) -> list[tuple[int, ...]]:
+                  k_max: int, sum_w: int | None) -> Iterator[tuple[int, ...]]:
     """Each candidate of ``enumerate_weight_multisets`` as its sorted tuple
-    of k, in lexicographic order, after the same checks with the same errors
-    (the cap before any candidate is built)."""
+    of k, in lexicographic order, after the same checks with the same errors,
+    raised by the call itself (the cap before any candidate is built)."""
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     if epsilon not in (0, 1):
@@ -194,33 +201,81 @@ def _candidate_ks(d: int, epsilon: int, mult: Multiplicities, k_min: int,
         raise ValueError(
             f"{count} candidate weight multisets for k in [{k_min}, {k_max}], "
             f"above the cap {MAX_CANDIDATES}; narrow the k range")
-    pools = _class_pools(k_min, k_max)
-    out = []
-    for ns in _class_counts(d, mult):
-        used = [(pool, n) for pool, n in zip(pools, ns) if n]
-        if sum_w is not None and used and used[-1][1] == 1:
-            # The total fixes the last class's one k: check it, do not walk.
-            half, odd = divmod(sum_w - d * epsilon, 2)
-            if sum_w >= 0 and not odd:
-                for rest in product(*(combinations_with_replacement(p, n) for p, n in used[:-1])):
+    return chain.from_iterable(_sorted_chunks(d, epsilon, mult, k_min, k_max, sum_w))
+
+
+def _sorted_chunks(d: int, epsilon: int, mult: Multiplicities, k_min: int, k_max: int,
+                   sum_w: int | None):
+    """The candidates of ``_candidate_ks``, in order, as a run of iterables.
+
+    A sub-walk is a fixed prefix plus n more k from [lo, k_max], under the
+    multiplicities the prefix leaves.  One whose k all lie in one class is
+    walked lazily, already in order; one of at most ``CHUNK_CANDIDATES``
+    candidates is built and sorted whole; a larger one splits on its
+    smallest k, v = lo, ..., k_max (only the v a total allows, when one is
+    given), and every candidate of prefix + (v,) sorts before every
+    candidate of prefix + (v + 1,).  The splits wait on a stack, one lazy
+    range of sub-walks per level, so that the walk holds one chunk and a
+    prefix per level."""
+    def walk(prefix: tuple[int, ...], dists: list, lo: int):
+        pools = _class_pools(lo, k_max)
+        for ns in dists:
+            used = [(pool, n) for pool, n in zip(pools, ns) if n]
+            ones = [pool for pool, n in used if n == 1]
+            if sum_w is not None and ones:
+                # The total fixes the one k of the widest class with one k:
+                # check it, do not walk that class.
+                fixed = max(ones, key=len)
+                used.remove((fixed, 1))
+                for rest in product([prefix], *(combinations_with_replacement(p, n)
+                                                for p, n in used)):
                     ks = [*chain.from_iterable(rest), half - sum(map(sum, rest))]
-                    if ks[-1] in used[-1][0]:
-                        out.append(tuple(sorted(ks)))
+                    if ks[-1] in fixed:
+                        yield tuple(sorted(ks))
+                continue
+            # A class with one k walks its range lazily, so a wide range
+            # costs no memory.
+            picks = [zip(pool) if n == 1 else combinations_with_replacement(pool, n)
+                     for pool, n in used]
+            if len(picks) == 1:
+                kss = (prefix + ks for ks in picks[0])  # already sorted
+            else:
+                kss = map(tuple, map(sorted, map(chain.from_iterable, product([prefix], *picks))))
+            if sum_w is not None or k_min < 0:  # else every total is >= 0
+                kss = (ks for ks in kss if (total := 2 * sum(ks) + d * epsilon) >= 0
+                       and (sum_w is None or total == sum_w))
+            yield from kss
+
+    if sum_w is not None:
+        half, odd = divmod(sum_w - d * epsilon, 2)
+        if sum_w < 0 or odd:  # no multiset has this total
+            return
+    stack = [iter([((), d, mult, k_min)])]
+    while stack:
+        sub = next(stack[-1], None)
+        if sub is None:
+            stack.pop()
             continue
-        # The classes in use; a class with one k walks its range lazily,
-        # so a wide range costs no memory.
-        picks = [zip(pool) if n == 1 else combinations_with_replacement(pool, n)
-                 for pool, n in used]
-        if len(picks) == 1:
-            kss = picks[0]  # already sorted
-        else:
-            kss = map(tuple, map(sorted, map(chain.from_iterable, product(*picks))))
-        if sum_w is not None or k_min < 0:  # else every total is >= 0
-            kss = (ks for ks in kss if (total := 2 * sum(ks) + d * epsilon) >= 0
-                   and (sum_w is None or total == sum_w))
-        out += kss
-    out.sort()
-    return out
+        prefix, n, m, lo = sub
+        dists = list(_class_counts(n, m))
+        if len(dists) == 1 and sum(map(bool, dists[0])) == 1:
+            yield walk(prefix, dists, lo)
+        elif count_weight_multisets(n, m, lo, k_max) <= CHUNK_CANDIDATES:
+            yield sorted(walk(prefix, dists, lo))
+        elif sum_w is None:
+            stack.append(_split(prefix, n, m, lo, k_max))
+        else:  # the n k left sum to rest: n v <= rest <= v + (n - 1) k_max
+            rest = half - sum(prefix)
+            stack.append(_split(prefix, n, m, max(lo, rest - (n - 1) * k_max),
+                                min(k_max, rest // n)))
+
+
+def _split(prefix: tuple[int, ...], n: int, m: Multiplicities, start: int, stop: int):
+    """The sub-walks of a walk, one per value v in [start, stop] of its
+    smallest k: v joins the prefix, and n - 1 more k come from [v, k_max]."""
+    for v in range(start, stop + 1):
+        yield (prefix + (v,), n - 1,
+               Multiplicities(m.alpha - v % 2, m.beta1 - (v % 3 == 1), m.beta2 - (v % 3 == 2)), v)
 
 
 def enumerate_weight_multisets(d: int, epsilon: int, mult: Multiplicities,

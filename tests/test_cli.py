@@ -15,8 +15,9 @@ from vvmf import cli
 from vvmf.cli import MAX_ORDER, main
 from vvmf.detlab import FormVector, generators_to_record
 from vvmf.qseries import QSeries
-from vvmf.replib import RepSpec, direct_sum, linear_character
+from vvmf.replib import RepSpec, direct_sum, linear_character, multiplicities
 from vvmf.scalarforms import eta_squared
+from vvmf.weightcalc import _candidate_ks, count_weight_multisets
 
 
 @pytest.fixture
@@ -317,6 +318,45 @@ def test_wide_range_costs_memory_by_what_is_printed(rep_file, capsys):
     assert peak < 2 << 20
 
 
+# ``python -m vvmf.cli ARGS`` that writes its peak resident set (VmHWM, in
+# KiB) to the file named before ARGS when it exits.
+PEAK_CHILD = """\
+import atexit, runpy, sys
+
+def write_peak(path):
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(peak)
+
+atexit.register(write_peak, sys.argv[1])
+sys.argv = ["vvmf", *sys.argv[2:]]
+runpy.run_module("vvmf.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_enumerate_peak_memory_does_not_grow_with_the_answer(tmp_path):
+    # Eight even characters: k in [0, 23] has 7.8 times the candidates of k
+    # in [0, 17]; held whole, they peak about 9 MiB apart.
+    rep = linear_character(0)
+    for j in (0, 0, 2, 4, 6, 8, 10):
+        rep = direct_sum(rep, linear_character(j))
+    path = tmp_path / "sum8.json"
+    path.write_text(json.dumps(rep.to_record()))
+    counts = [count_weight_multisets(8, multiplicities(rep), 0, k) for k in (17, 23)]
+    assert counts == [11_178, 87_680]
+    env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parent.parent))
+    peaks = []
+    for kmax in ("17", "23"):
+        rss = tmp_path / f"peak{kmax}"
+        subprocess.run([sys.executable, "-c", PEAK_CHILD, str(rss), "analyze", str(path),
+                        "--enumerate", "--kmax", kmax], env=env, stdout=subprocess.DEVNULL,
+                       check=True, timeout=300)
+        peaks.append(int(rss.read_text()))
+    assert abs(peaks[1] - peaks[0]) < 2 << 10, peaks
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_enumerate_negative_kmin(fmt, sum_rep_file, capsys):
     # kappa^2 + kappa^4 needs one k in each of the classes 1, 2 mod 6 or
@@ -344,27 +384,31 @@ def test_large_json_report_is_written_whole(rep_file, capsys):
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("extra, count", [(["--kmax", "40"], 490), (["--kmax", "0"], 0),
-                                          (["--kmax", "40", "--sum", "34"], 7)],
+@pytest.mark.parametrize("kmax, sum_w, count", [(40, None, 490), (0, None, 0), (40, 34, 7)],
                          ids=["candidates", "none", "sum"])
-def test_candidate_json_is_the_encoders_layout(tmp_path, monkeypatch, capsys, extra, count):
+def test_candidate_json_is_the_encoders_layout(tmp_path, monkeypatch, capsys, kmax, sum_w,
+                                               count):
     # The hand-laid candidate list against the encoder's own text for the
     # payload _emit was given, its candidates as dict rows built from the
-    # walk's k tuples; no candidates are the encoder's [].
+    # k tuples of a second walk (the report reads its own walk once); no
+    # candidates are the encoder's [].
     rep = direct_sum(direct_sum(linear_character(2), linear_character(4)), linear_character(4))
     path = tmp_path / "k2k4k4.json"
     path.write_text(json.dumps(rep.to_record()))
     payloads, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda args, payload, lines:
                         emit(args, payloads.append(payload) or payload, lines))
+    extra = ["--kmax", str(kmax)] + (["--sum", str(sum_w)] if sum_w is not None else [])
     assert main(["analyze", str(path), "--format", "json", "--enumerate", *extra]) == 0
     [payload] = payloads
     rows = payload["candidate_multisets"]
     if count:
-        assert isinstance(rows, cli._Candidates) and len(rows.ks) == count
+        assert isinstance(rows, cli._Candidates)
         eps = rows.epsilon
+        walk = list(_candidate_ks(rep.dimension, eps, multiplicities(rep), 0, kmax, sum_w))
+        assert len(walk) == count
         rows = [{"epsilon": eps, "ks": list(ks), "weights": [2 * k + eps for k in ks]}
-                for ks in rows.ks]
+                for ks in walk]
     else:
         assert rows == []
     expected = json.JSONEncoder(sort_keys=True, indent=2).encode(

@@ -8,6 +8,7 @@ the largest poles, absurd declared weights and a closed stdout; and on
 inputs that once raised or hung: JSON nested past the recursion limit, an
 exponent that would build a 30-million-digit integer, integer fields past
 the float range (JSON's 1e400 reads as inf) or with a fractional part, a
+boolean coefficient, a string in place of a list of coefficients, a
 generator short of a component, a k range past sys.maxsize, generators whose
 coefficient orders combine past 360, and valid representations over
 Q(zeta_280) and Q(zeta_35), whose traces lie in smaller fields.
@@ -228,22 +229,29 @@ INTEGER_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("value", ["1e400", "-1e400", "2.5", "true"])
-@pytest.mark.parametrize("key,field", [
-    pytest.param(key, field, id=f"{key}:{'.'.join(map(str, field))}")
-    for key, fields in INTEGER_FIELDS.items() for field in fields])
-def test_integers_past_the_float_range_are_malformed_input(key, field, value, files, tmp_path,
-                                                            capsys):
+def _set_field(files, key, field, value, tmp_path):
+    """The input file ``key`` with the JSON text ``value`` at ``field``, and
+    the runs that read it."""
     with open(files[key], encoding="utf-8") as fh:
         record = json.load(fh)
     node = record
     for step in field[:-1]:
         node = node[step]
     node[field[-1]] = "@"
-    path = tmp_path / f"huge-{key}.json"
+    path = tmp_path / f"{key}-edited.json"
     path.write_text(json.dumps(record).replace('"@"', value))
     runs = [["det", str(path), files["sum_rep"]]] if key == "gens" else \
         [["analyze", str(path)], ["det", files["gens"], str(path)]]
+    return path, runs
+
+
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "2.5", "true"])
+@pytest.mark.parametrize("key,field", [
+    pytest.param(key, field, id=f"{key}:{'.'.join(map(str, field))}")
+    for key, fields in INTEGER_FIELDS.items() for field in fields])
+def test_integers_past_the_float_range_are_malformed_input(key, field, value, files, tmp_path,
+                                                            capsys):
+    path, runs = _set_field(files, key, field, value, tmp_path)
     # An integer field with a fractional part, or a boolean, is no integer:
     # int() alone reads 2.5 as 2 and true as 1.
     want = "OverflowError: cannot convert float infinity" if value.endswith("e400") else \
@@ -251,6 +259,42 @@ def test_integers_past_the_float_range_are_malformed_input(key, field, value, fi
     for argv in runs:
         err = _usage_error(argv, capsys)
         assert f"{path}: malformed input ({want}" in err
+
+
+# A coefficient of each input file, as a path from the record.
+COEFFICIENT_FIELDS = {
+    "sum_rep": [("S", 0, 0, "coeffs", 0)],
+    "gens": [("generators", 0, "components", 0, "coeffs", 0, "coeffs", 0)],
+}
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+@pytest.mark.parametrize("key,field", [
+    pytest.param(key, field, id=f"{key}:{'.'.join(map(str, field))}")
+    for key, fields in COEFFICIENT_FIELDS.items() for field in fields])
+def test_a_boolean_coefficient_is_malformed_input(key, field, value, files, tmp_path, capsys):
+    # A JSON boolean is a Python bool, an int: read as a number, true is 1.
+    path, runs = _set_field(files, key, field, value, tmp_path)
+    for argv in runs:
+        err = _usage_error(argv, capsys)
+        assert f"{path}: malformed input (ValueError: expected a rational, " \
+            f"got {json.loads(value)!r})" in err
+
+
+def test_a_string_of_coefficients_is_malformed_input(files, tmp_path, capsys):
+    # Read character by character, "0010" would be zeta_12^2 and "12" 1 + 2 zeta_3.
+    with open(files["sum_rep"], encoding="utf-8") as fh:
+        record = json.load(fh)
+    record["T"][0][0]["coeffs"] = "".join(record["T"][0][0]["coeffs"])
+    assert record["T"][0][0] == {"order": 12, "coeffs": "0010"}
+    path = _write(tmp_path / "string.json", record)
+    err = _usage_error(["analyze", path], capsys)
+    assert f"{path}: malformed input (ValueError: expected a list of coefficients, " \
+        "got a string)" in err
+    with pytest.raises(ValueError, match="got a string"):
+        CycNumber.from_record({"order": 3, "coeffs": "12"})
+    assert CycNumber.from_record({"order": 3, "coeffs": ["1", "2"]}) == \
+        1 + 2 * root_of_unity(3, 1)
 
 
 def test_det_refuses_a_generator_with_the_wrong_component_count(files, tmp_path, capsys):

@@ -25,17 +25,26 @@ multisets.  Over Q(zeta_280) and Q(zeta_35), where the lift passes the
 order bound, the check must give what it gives on the unconjugated
 representation.
 
-With a total weight given, ``_candidate_ks`` computes the one k of the last
-class in use from the total and the other picks, and checks it against its
-range, instead of walking that range.  ``oracle_candidate_ks`` is its body
+With a total weight given, ``_candidate_ks`` computes the one k of a class
+in use that holds one k (the widest such class) from the total and the
+other picks, and checks it against its range, instead of walking that
+range.  ``oracle_candidate_ks`` is its body
 before, which walks the range and filters by the total, kept verbatim.  The
 two must return the same list or raise the same error on seeded small
 requests, with negative k and with totals that are odd, negative or out of
 reach.
+
+``_candidate_ks`` returns an iterator: it splits a walk on its smallest k
+until each part has at most ``CHUNK_CANDIDATES`` candidates, sorts each part
+and yields the parts in order.  With the chunk set to 1, 2 and 7 it must
+still give the oracle's list, and the memory a walk holds must be a chunk's,
+not the answer's.
 """
 
+import functools
 import json
 import random
+import tracemalloc
 from itertools import chain, combinations_with_replacement, product
 
 import pytest
@@ -214,8 +223,10 @@ def test_preconditions_match_the_walk():
 @pytest.mark.parametrize("case", range(0, len(CASES), 30))
 def test_report_rows_match_the_multiset_layout(case):
     for request, expected in zip(CASES[case:case + 30], EXPECTED[case:case + 30]):
+        # The report reads the walk once, so each layout gets its own walk.
         rows = cli._Candidates(request[1], weightcalc._candidate_ks(*request))
         assert list(rows.text_lines()) == [text_line(ws) for ws in expected], request
+        rows = cli._Candidates(request[1], weightcalc._candidate_ks(*request))
         assert list(rows.json_entries()) == [json_entry(json_row(ws)) for ws in expected], request
 
 
@@ -302,7 +313,7 @@ def test_hilbert_check_over_fields_past_the_lift():
     assert raised == {280: 4, 35: 5}
 
 
-# -- the total weight fixes the last class's k ------------------------------------
+# -- the total weight fixes a one-k class's k -------------------------------------
 
 def oracle_candidate_ks(d: int, epsilon: int, mult: Multiplicities, k_min: int,
                         k_max: int, sum_w: int | None) -> list[tuple[int, ...]]:
@@ -369,7 +380,7 @@ TOTAL_CASES = [total_request(random.Random(f"totals:{i}")) for i in range(400)]
 
 def _ks_outcome(route, request):
     try:
-        return route(*request)
+        return list(route(*request))
     except ValueError as exc:
         return ValueError, str(exc)
 
@@ -388,11 +399,71 @@ def test_fixed_total_matches_the_walk():
                for r in TOTAL_CASES) >= 200
 
 
+# kappa^2: one k = 1 mod 6 in [0, 2900000], 483,334 candidates, one of total
+# weight 2000006; and a pair of classes with a negative k_min.
+WIDE_CLASS_REQUESTS = [(1, 0, multiplicities(linear_character(2)), 0, 2_900_000, 2_000_006),
+                       (1, 0, multiplicities(linear_character(2)), 0, 2_900_000, 2_000_004),
+                       (2, 1, Multiplicities(1, 1, 1), -300, 400, 101)]
+
+
 def test_fixed_total_over_a_wide_class():
-    # kappa^2: one k = 0 mod 6 in [0, 2900000], 483,334 candidates, one of
-    # total weight 2000006; and a pair of classes with a negative k_min.
-    mult = multiplicities(linear_character(2))
-    for request in [(1, 0, mult, 0, 2_900_000, 2_000_006),
-                    (1, 0, mult, 0, 2_900_000, 2_000_004),
-                    (2, 1, Multiplicities(1, 1, 1), -300, 400, 101)]:
-        assert weightcalc._candidate_ks(*request) == oracle_candidate_ks(*request), request
+    for request in WIDE_CLASS_REQUESTS:
+        assert list(weightcalc._candidate_ks(*request)) == oracle_candidate_ks(*request), request
+
+
+# -- the walk arrives in sorted chunks ---------------------------------------------
+
+@functools.cache
+def _oracle_outcome(request):
+    return _ks_outcome(oracle_candidate_ks, request)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_walk_in_small_chunks_matches_the_oracle(chunk, monkeypatch):
+    # Chunks this small split nearly every walk down to its last k.
+    monkeypatch.setattr(weightcalc, "CHUNK_CANDIDATES", chunk)
+    for request in CASES + TOTAL_CASES + WIDE_CLASS_REQUESTS:
+        assert _ks_outcome(weightcalc._candidate_ks, request) == _oracle_outcome(request), request
+
+
+def test_checks_and_the_cap_raise_at_the_call(monkeypatch):
+    mult = Multiplicities(2, 1, 1)
+    monkeypatch.setattr(weightcalc, "MAX_CANDIDATES", count_weight_multisets(3, mult, -4, 9) - 1)
+    for args in [(1, 0, Multiplicities(0, 0, 0), 5, 4, None),
+                 (1, 2, Multiplicities(0, 0, 0), 0, 4, None),
+                 (-1, 0, Multiplicities(0, 0, 0), 0, 4, None),
+                 (3, 1, mult, -4, 9, None)]:
+        with pytest.raises(ValueError) as raised:
+            weightcalc._candidate_ks(*args)  # not iterated
+        assert (ValueError, str(raised.value)) == _ks_outcome(oracle_candidate_ks, args)
+
+
+def _traced_peak(run) -> tuple:
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_candidate_of_a_wide_class_builds_no_list():
+    # 483,334 candidates in one class: as a list, tens of MiB.
+    request = (1, 0, multiplicities(linear_character(2)), 0, 2_900_000, None)
+    first, peak = _traced_peak(lambda: next(weightcalc._candidate_ks(*request)))
+    assert first == (1,)
+    assert peak < 64 << 10
+
+
+def test_walk_holds_a_chunk_not_the_answer():
+    # d = 8 over [0, 20]: its 37,440 tuples take about 4 MiB at once, one
+    # chunk of CHUNK_CANDIDATES well under 1 MiB.
+    def walk():
+        for count, ks in enumerate(weightcalc._candidate_ks(8, 0, Multiplicities(3, 2, 2),
+                                                            0, 20, None), 1):
+            pass
+        return count, ks
+
+    (count, last), peak = _traced_peak(walk)
+    assert (count, last) == (37_440, (17, 18, 18, 18, 18, 19, 19, 20))
+    assert peak < 1 << 20
