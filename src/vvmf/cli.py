@@ -191,13 +191,13 @@ def _check_order(order: int) -> None:
         raise UsageError(f"--order must be at most {MAX_ORDER}, got {order}")
 
 
-def _load(path: str, parse):
+def _load(path: str, parse, object_hook=None):
     """Read a JSON input file and parse it; a malformed file is a usage error."""
     import json
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, object_hook=object_hook))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
             ZeroDivisionError, OverflowError, RecursionError) as exc:
         raise UsageError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
@@ -339,13 +339,13 @@ def _check_det_size(weights, epsilon: int, order: int) -> None:
 
 def cmd_det(args) -> int:
     from .detlab import (check_generator_determinant, det_zero, generators_from_record,
-                         shifted_exterior_product)
-    from .exactfield import MAX_ORDER as MAX_FIELD_ORDER
+                         series_hook, shifted_exterior_product)
+    from .exactfield import MAX_FIELD_ORDER
     from .replib import load_rep
 
     _check_order(args.order)
     rep = _load(args.rep_path, load_rep)
-    _, vectors = _load(args.gens_path, generators_from_record)
+    _, vectors = _load(args.gens_path, generators_from_record, series_hook)
     if len(vectors) != rep.dimension:
         raise UsageError(
             f"generators file has {len(vectors)} vectors but the "

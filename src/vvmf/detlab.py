@@ -34,8 +34,10 @@ class FormVector(_Record):
 
     @staticmethod
     def from_record(record: dict) -> FormVector:
+        # A component may be a QSeries already, read by series_hook.
         return FormVector(_read_int(record["weight"]),
-                          tuple(QSeries.from_record(c) for c in record["components"]))
+                          tuple(c if isinstance(c, QSeries) else QSeries.from_record(c)
+                                for c in record["components"]))
 
 
 def generators_to_record(rep_name: str, vectors) -> dict:
@@ -45,6 +47,16 @@ def generators_to_record(rep_name: str, vectors) -> dict:
         "dimension": len(vectors),
         "generators": [v.to_record() for v in vectors],
     }
+
+
+_SERIES_KEYS = frozenset(("grid", "lead", "valid_to", "coeffs"))
+
+
+def series_hook(obj: dict):
+    """A ``json`` object hook: each series record becomes its QSeries as the
+    decoder closes it, so at most one series' coefficient records are alive
+    at a time.  Any other object is kept as it is."""
+    return QSeries.from_record(obj) if obj.keys() >= _SERIES_KEYS else obj
 
 
 def generators_from_record(record: dict) -> tuple[str, list[FormVector]]:

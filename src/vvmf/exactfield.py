@@ -34,7 +34,7 @@ from .errors import UsageError
 
 # Orders above this are rejected rather than allowed to degrade performance
 # silently; everything in this package lives in Q(zeta_12) and subfields.
-MAX_ORDER = 360
+MAX_FIELD_ORDER = 360
 
 
 def euler_phi(n: int) -> int:
@@ -235,8 +235,8 @@ def _bias(count: int, width: int) -> int:
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"cyclotomic order must be positive, got {order}")
-    if order > MAX_ORDER:
-        raise ValueError(f"cyclotomic order {order} exceeds the supported bound {MAX_ORDER}")
+    if order > MAX_FIELD_ORDER:
+        raise ValueError(f"cyclotomic order {order} exceeds the supported bound {MAX_FIELD_ORDER}")
 
 
 def _substitute(num, order: int, k: int) -> tuple[int, ...]:

@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import pytest
 
-from vvmf.exactfield import (_PAIRWISE_SLOTS, _TWO_POINT_BYTES, MAX_ORDER, CycNumber, _bias,
+from vvmf.exactfield import (_PAIRWISE_SLOTS, _TWO_POINT_BYTES, MAX_FIELD_ORDER, CycNumber, _bias,
                              _kronecker, _mul, _pack, _reduction_rows, _slot_width,
                              cyclotomic_polynomial, euler_phi, parse_rational)
 
@@ -509,7 +509,7 @@ def test_parse_rational_against_the_fraction_parse(text):
 
 def test_cyclotomic_polynomial_against_the_fraction_division():
     # __wrapped__ runs the integer division itself for every order, not the cache.
-    for n in range(1, MAX_ORDER + 1):
+    for n in range(1, MAX_FIELD_ORDER + 1):
         got = cyclotomic_polynomial.__wrapped__(n)
         assert got == fraction_cyclotomic_polynomial(n), n
         assert all(type(c) is int for c in got)
